@@ -1,11 +1,28 @@
 # Standard checks for the FreePart reproduction. `make check` is the gate:
-# formatting, vet, build, race-enabled tests, and fixed-seed chaos soaks.
+# formatting, vet, build, race-enabled tests, fixed-seed chaos soaks, and
+# the BENCH drift gate.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
+.PHONY: check benchcheck fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
 
-check: fmt vet build race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak
+check: fmt vet build race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak benchcheck
+
+# The experiments that write a committed BENCH_<name>.json.
+BENCHES := serving failover autoscale overload isolation defense gray partition
+
+# BENCH drift gate: regenerates every committed BENCH_*.json into a temp
+# directory and fails, naming each file, unless every one is byte-identical
+# to the committed copy.
+benchcheck:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/experiments" ./cmd/experiments || exit 1; \
+	fail=0; \
+	for b in $(BENCHES); do \
+		"$$tmp/experiments" -exp $$b -json "$$tmp/BENCH_$$b.json" >/dev/null || { echo "benchcheck: $$b failed to run"; fail=1; continue; }; \
+		cmp "$$tmp/BENCH_$$b.json" BENCH_$$b.json || { echo "benchcheck: BENCH_$$b.json drifted; regenerate with make $$b"; fail=1; }; \
+	done; \
+	[ $$fail -eq 0 ] && echo "benchcheck: all BENCH files byte-identical"
 
 # gofmt cleanliness gate: fails listing any file that gofmt would rewrite.
 fmt:

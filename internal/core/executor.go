@@ -890,7 +890,7 @@ func isCrashClass(err error, sh *Shard) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, ipc.ErrAgentCrashed) || errors.Is(err, ipc.ErrPeerDead) || errors.Is(err, ipc.ErrTimeout) {
+	if errors.Is(err, ipc.ErrAgentCrashed) || errors.Is(err, ipc.ErrTimeout) {
 		return true
 	}
 	return sh.Rt != nil && !sh.Rt.Host.Alive()

@@ -133,10 +133,10 @@ func TestThreadsShareHostCriticalData(t *testing.T) {
 }
 
 // TestConcurrentCrossTypeCallsOneRuntime hammers a single runtime with
-// overlapping calls across every API type from many goroutines. Before the
-// seq-multiplexed IPC layer, two concurrent calls to one agent could steal
-// each other's responses; now the demux routes each response to its caller,
-// so one runtime safely serves concurrent work (verified under -race).
+// overlapping calls across every API type from many goroutines. Each agent
+// connection serves one call at a time on its caller's goroutine, so every
+// caller gets its own response and one runtime safely serves concurrent work
+// (verified under -race).
 func TestConcurrentCrossTypeCallsOneRuntime(t *testing.T) {
 	k, g := threadGroup(t, 1)
 	rt := g.Thread(0)

@@ -4,161 +4,18 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"freepart.dev/freepart/internal/vclock"
 )
 
-func TestRingFIFO(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 4; i++ {
-		if err := r.Send(Message{Seq: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		m, err := r.Recv()
-		if err != nil || m.Seq != uint64(i) {
-			t.Fatalf("recv %d = %v, %v", i, m.Seq, err)
-		}
-	}
-}
-
-func TestRingBlocksWhenFullThenDrains(t *testing.T) {
-	r := NewRing(1)
-	if err := r.Send(Message{Seq: 1}); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- r.Send(Message{Seq: 2}) }()
-	// Wait until the producer has actually parked on the full ring.
-	for r.Stats().Blocked == 0 {
-		runtime.Gosched()
-	}
-	m, err := r.Recv()
-	if err != nil || m.Seq != 1 {
-		t.Fatalf("recv = %v, %v", m.Seq, err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	m, _ = r.Recv()
-	if m.Seq != 2 {
-		t.Fatalf("second recv = %d", m.Seq)
-	}
-	if r.Stats().Blocked == 0 {
-		t.Fatal("blocked counter should record the futex wait")
-	}
-}
-
-func TestRingTrySend(t *testing.T) {
-	r := NewRing(1)
-	ok, err := r.TrySend(Message{Seq: 1})
-	if !ok || err != nil {
-		t.Fatalf("TrySend = %v, %v", ok, err)
-	}
-	ok, err = r.TrySend(Message{Seq: 2})
-	if ok || err != nil {
-		t.Fatalf("full TrySend = %v, %v", ok, err)
-	}
-	r.Close()
-	if _, err := r.TrySend(Message{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed TrySend err = %v", err)
-	}
-}
-
-func TestRingCloseDrains(t *testing.T) {
-	r := NewRing(4)
-	_ = r.Send(Message{Seq: 9})
-	r.Close()
-	if err := r.Send(Message{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send after close = %v", err)
-	}
-	m, err := r.Recv()
-	if err != nil || m.Seq != 9 {
-		t.Fatalf("queued message should survive close: %v %v", m.Seq, err)
-	}
-	if _, err := r.Recv(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("drained closed recv = %v", err)
-	}
-}
-
-func TestRingCloseWakesBlockedReceiver(t *testing.T) {
-	r := NewRing(1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Recv()
-		done <- err
-	}()
-	r.Close()
-	if err := <-done; !errors.Is(err, ErrClosed) {
-		t.Fatalf("blocked recv woke with %v", err)
-	}
-}
-
-func TestRingStatsBytes(t *testing.T) {
-	r := NewRing(4)
-	_ = r.Send(Message{Payload: make([]byte, 100)})
-	st := r.Stats()
-	if st.Messages != 1 || st.Bytes != 116 { // 16-byte header
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestRingConcurrentProducersConsumers(t *testing.T) {
-	r := NewRing(8)
-	const producers, per = 4, 250
-	var wg sync.WaitGroup
-	for i := 0; i < producers; i++ {
-		wg.Add(1)
-		go func(base int) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				_ = r.Send(Message{Seq: uint64(base*per + j)})
-			}
-		}(i)
-	}
-	seen := make(map[uint64]bool)
-	var mu sync.Mutex
-	var cg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				m, err := r.Recv()
-				if err != nil {
-					return
-				}
-				mu.Lock()
-				seen[m.Seq] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	r.Close()
-	cg.Wait()
-	if len(seen) != producers*per {
-		t.Fatalf("received %d distinct messages, want %d", len(seen), producers*per)
-	}
-}
-
-func TestDefaultCapacity(t *testing.T) {
-	if NewRing(0).Cap() != DefaultRingCapacity || NewRing(-3).Cap() != DefaultRingCapacity {
-		t.Fatal("non-positive capacity should use default")
-	}
-}
-
-// echoConn starts a server that echoes payloads with kind prepended.
+// echoConn returns a connection whose agent echoes payloads with kind
+// prepended.
 func echoConn(t *testing.T) *Conn {
 	t.Helper()
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return append([]byte{byte(kind)}, p...), nil
 	})
 	t.Cleanup(c.Close)
@@ -181,8 +38,7 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestCallApplicationError(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("bad input %q", p)
 	})
 	defer c.Close()
@@ -193,8 +49,7 @@ func TestCallApplicationError(t *testing.T) {
 }
 
 func TestCallCrashPropagates(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: segfault in imread", ErrAgentCrashed)
 	})
 	defer c.Close()
@@ -204,17 +59,28 @@ func TestCallCrashPropagates(t *testing.T) {
 	}
 }
 
+func TestCallAfterCloseFails(t *testing.T) {
+	executions := 0
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
+		executions++
+		return p, nil
+	})
+	c.Close()
+	if _, err := c.Call(1, []byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if executions != 0 {
+		t.Fatalf("handler ran %d times on a closed connection", executions)
+	}
+}
+
 func TestRetryDedup(t *testing.T) {
 	// The server executes a side-effecting handler; a Retry with the same
 	// sequence must be answered from the cache without re-executing —
 	// the exactly-once guarantee of §4.3.
-	var executions int
-	var mu sync.Mutex
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	executions := 0
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		executions++
-		mu.Unlock()
 		return []byte("done"), nil
 	})
 	defer c.Close()
@@ -228,8 +94,6 @@ func TestRetryDedup(t *testing.T) {
 	if err != nil || string(out) != "done" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if executions != 1 {
 		t.Fatalf("handler executed %d times, want 1 (exactly-once)", executions)
 	}
@@ -241,15 +105,10 @@ func TestRetryDedup(t *testing.T) {
 func TestRetryAfterCrashReexecutes(t *testing.T) {
 	// First attempt crashes before completing; the retry must execute —
 	// the at-least-once path of §4.4.2.
-	var attempts int
-	var mu sync.Mutex
-	c := NewConn(8, nil, vclock.CostModel{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	attempts := 0
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		attempts++
-		n := attempts
-		mu.Unlock()
-		if n == 1 {
+		if attempts == 1 {
 			return nil, fmt.Errorf("%w: first try dies", ErrAgentCrashed)
 		}
 		return []byte("ok"), nil
@@ -264,8 +123,6 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("retry = %q, %v", out, err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", attempts)
 	}
@@ -273,23 +130,25 @@ func TestRetryAfterCrashReexecutes(t *testing.T) {
 
 func TestCallChargesVirtualTime(t *testing.T) {
 	clk := vclock.New()
-	c := NewConn(8, clk, vclock.Default())
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
+	c := NewConn(clk, vclock.Default(), func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	defer c.Close()
-	small, _ := c.Call(1, make([]byte, 16))
-	_ = small
+	_, _ = c.Call(1, make([]byte, 16))
 	afterSmall := clk.Now()
 	_, _ = c.Call(1, make([]byte, 1<<20))
 	afterBig := clk.Now() - afterSmall
 	if afterBig <= afterSmall {
 		t.Fatalf("1MiB call (%v) should cost more than 16B call (%v)", afterBig, afterSmall)
 	}
+	cost := vclock.Default()
+	want := cost.IPCRoundTrip + cost.CopyCost(16+17) // the response carries a 1-byte tag
+	if afterSmall != want {
+		t.Fatalf("16B echo charged %v, want IPCRoundTrip+CopyCost = %v", afterSmall, want)
+	}
 }
 
 func TestDedupCacheEviction(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	c.doneCap = 4
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	defer c.Close()
 	for i := 0; i < 10; i++ {
 		if _, err := c.Call(0, []byte{byte(i)}); err != nil {
@@ -322,63 +181,24 @@ func TestCallSeqProperty(t *testing.T) {
 	}
 }
 
-// --- call deadline, peer death, and fault injection ---
+// --- fault injection ---
 
-func TestCallDeadlineTimesOut(t *testing.T) {
-	// No Serve goroutine: the request is never answered. The deadline must
-	// bound the failure with a typed error.
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(80 * time.Millisecond)
-	start := time.Now()
-	_, err := c.Call(0, []byte("x"))
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("timed call took %v; deadline not enforced", time.Since(start))
-	}
-}
-
-func TestCallPeerDeadDetected(t *testing.T) {
-	// A generous deadline, but the liveness probe says the peer died: the
-	// call must fail fast with ErrPeerDead, not wait out the deadline.
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(10 * time.Second)
-	c.SetPeerCheck(func() bool { return false })
-	start := time.Now()
-	_, err := c.Call(0, nil)
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("err = %v, want ErrPeerDead", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatalf("dead-peer call took %v", time.Since(start))
-	}
-}
-
-func TestCallSucceedsUnderDeadline(t *testing.T) {
-	c := NewConn(4, nil, vclock.CostModel{})
-	c.SetDeadline(5 * time.Second)
-	c.SetPeerCheck(func() bool { return true })
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
-	defer c.Close()
-	out, err := c.Call(0, []byte("hi"))
-	if err != nil || string(out) != "hi" {
-		t.Fatalf("call = %q, %v", out, err)
-	}
-}
-
-// scriptedInjector fails exactly the first request (or response) it sees.
+// scriptedInjector fails exactly the first request (or response) it sees
+// and counts every decision drawn.
 type scriptedInjector struct {
 	mu        sync.Mutex
 	reqFault  MessageFault
 	respFault MessageFault
 	reqUsed   bool
 	respUsed  bool
+	reqDraws  int
+	respDraws int
 }
 
 func (s *scriptedInjector) RequestFault(seq uint64, payload []byte) MessageFault {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.reqDraws++
 	if s.reqUsed {
 		return MessageFault{}
 	}
@@ -389,6 +209,7 @@ func (s *scriptedInjector) RequestFault(seq uint64, payload []byte) MessageFault
 func (s *scriptedInjector) ResponseFault(seq uint64, payload []byte) MessageFault {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.respDraws++
 	if s.respUsed {
 		return MessageFault{}
 	}
@@ -396,24 +217,23 @@ func (s *scriptedInjector) ResponseFault(seq uint64, payload []byte) MessageFaul
 	return s.respFault
 }
 
-func countingServer(t *testing.T, c *Conn) *int {
+// countingConn returns a connection under inj whose agent answers "ok" and
+// counts its executions. The handler runs under the connection's lock, so
+// the counter needs none of its own.
+func countingConn(t *testing.T, inj Injector) (*Conn, *int) {
 	t.Helper()
 	executions := new(int)
-	var mu sync.Mutex
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		mu.Lock()
+	c := NewConn(nil, vclock.CostModel{}, func(kind uint32, p []byte) ([]byte, error) {
 		*executions++
-		mu.Unlock()
 		return []byte("ok"), nil
 	})
+	c.SetInjector(inj)
 	t.Cleanup(c.Close)
-	return executions
+	return c, executions
 }
 
 func TestCorruptRequestDetectedThenRetried(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Corrupt: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(t, &scriptedInjector{reqFault: MessageFault{Corrupt: true}})
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -431,10 +251,7 @@ func TestDroppedResponseTimeoutThenDedupAnswers(t *testing.T) {
 	// The handler executes, but the response is lost. The retry under the
 	// same sequence must be answered from the dedup cache: exactly-once
 	// across message loss.
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetDeadline(5 * time.Second)
-	c.SetInjector(&scriptedInjector{respFault: MessageFault{Drop: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(t, &scriptedInjector{respFault: MessageFault{Drop: true}})
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -452,31 +269,25 @@ func TestDroppedResponseTimeoutThenDedupAnswers(t *testing.T) {
 }
 
 func TestDuplicatedRequestAbsorbedByDedup(t *testing.T) {
-	c := NewConn(8, nil, vclock.CostModel{})
-	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Duplicate: true}})
-	executions := countingServer(t, c)
+	// Both copies reach the agent before the call returns: the second is
+	// answered from the dedup cache, not re-executed.
+	c, executions := countingConn(t, &scriptedInjector{reqFault: MessageFault{Duplicate: true}})
 	out, err := c.Call(1, []byte("abc"))
 	if err != nil || string(out) != "ok" {
 		t.Fatalf("call = %q, %v", out, err)
 	}
-	// A fresh call drains any stale duplicate response left in the ring.
-	out, err = c.Call(1, []byte("next"))
-	if err != nil || string(out) != "ok" {
-		t.Fatalf("second call = %q, %v", out, err)
+	if *executions != 1 {
+		t.Fatalf("handler ran %d times, want 1 (duplicate must not re-execute)", *executions)
 	}
-	if *executions != 2 {
-		t.Fatalf("handler ran %d times, want 2 (duplicate must not re-execute)", *executions)
-	}
-	if c.Stats().Dedups != 1 {
-		t.Fatalf("stats = %+v, want 1 dedup", c.Stats())
+	if st := c.Stats(); st.Dedups != 1 || st.Calls != 1 {
+		t.Fatalf("stats = %+v, want 1 call and 1 dedup", st)
 	}
 }
 
 func TestDroppedRequestChargesVirtualTimeout(t *testing.T) {
 	clk := vclock.New()
-	c := NewConn(8, clk, vclock.Default())
+	c := NewConn(clk, vclock.Default(), func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	c.SetInjector(&scriptedInjector{reqFault: MessageFault{Drop: true}})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) { return p, nil })
 	defer c.Close()
 	_, err := c.Call(1, []byte("abc"))
 	if !errors.Is(err, ErrTimeout) {
@@ -487,12 +298,33 @@ func TestDroppedRequestChargesVirtualTimeout(t *testing.T) {
 	}
 }
 
-// --- seq-multiplexed pipelining ---
+func TestCrashNotificationDrawsAndChargesNothing(t *testing.T) {
+	// A crash answer is control-plane bookkeeping: the request draws its
+	// fault decision, the crash comes back without a response draw and
+	// without an IPC charge.
+	clk := vclock.New()
+	inj := &scriptedInjector{}
+	c := NewConn(clk, vclock.Default(), func(kind uint32, p []byte) ([]byte, error) {
+		return nil, fmt.Errorf("%w: dies", ErrAgentCrashed)
+	})
+	c.SetInjector(inj)
+	defer c.Close()
+	if _, err := c.Call(1, []byte("abc")); !errors.Is(err, ErrAgentCrashed) {
+		t.Fatalf("err = %v, want ErrAgentCrashed", err)
+	}
+	if inj.reqDraws != 1 || inj.respDraws != 0 {
+		t.Fatalf("draws = %d request / %d response, want 1 / 0", inj.reqDraws, inj.respDraws)
+	}
+	if clk.Now() != 0 {
+		t.Fatalf("crash notification charged %v, want 0", clk.Now())
+	}
+}
+
+// --- concurrent callers on one connection ---
 
 func TestPipelinedOverlappingCalls(t *testing.T) {
-	// Many goroutines issue calls concurrently on ONE connection. Under the
-	// old lock-step protocol they would steal each other's responses; with
-	// seq multiplexing every caller must get exactly its own echo back.
+	// Many goroutines issue calls concurrently on ONE connection; every
+	// caller must get exactly its own echo back.
 	c := echoConn(t)
 	const callers = 16
 	const perCaller = 25
@@ -525,62 +357,13 @@ func TestPipelinedOverlappingCalls(t *testing.T) {
 	if got := c.Stats().Calls; got != callers*perCaller {
 		t.Fatalf("calls = %d, want %d", got, callers*perCaller)
 	}
-	if c.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after drain, want 0", c.InFlight())
-	}
-}
-
-func TestPipelinedSlowFirstCallDoesNotBlockSecond(t *testing.T) {
-	// The server answers seq 1 only after seq 2 has been answered; a
-	// lock-step client would deadlock interpreting seq 2's response as
-	// garbage. The demux must deliver each response to its own waiter.
-	c := NewConn(8, nil, vclock.CostModel{})
-	firstSeen := make(chan struct{})
-	secondDone := make(chan struct{})
-	go c.Serve(func(kind uint32, p []byte) ([]byte, error) {
-		if kind == 1 {
-			close(firstSeen)
-			<-secondDone // park the agent until call 2 is fully answered
-		}
-		return p, nil
-	})
-	t.Cleanup(c.Close)
-
-	firstOut := make(chan error, 1)
-	go func() {
-		out, err := c.Call(1, []byte("slow"))
-		if err == nil && string(out) != "slow" {
-			err = fmt.Errorf("wrong payload %q", out)
-		}
-		firstOut <- err
-	}()
-	<-firstSeen
-	// The agent is parked inside call 1. Call 2 must still complete: its
-	// request pipelines into the ring... but the serve loop is busy, so we
-	// release it from a second goroutine once our request is enqueued.
-	go func() {
-		for c.req.Len() == 0 {
-			time.Sleep(time.Millisecond)
-		}
-		close(secondDone)
-	}()
-	out, err := c.Call(2, []byte("fast"))
-	if err != nil || string(out) != "fast" {
-		t.Fatalf("second call = %q, %v", out, err)
-	}
-	if err := <-firstOut; err != nil {
-		t.Fatalf("first call: %v", err)
-	}
 }
 
 func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 	// Overlapping callers plus a dropped response: the victim retries under
 	// its original sequence and is answered from the dedup cache while other
 	// callers keep flowing.
-	c := NewConn(16, nil, vclock.CostModel{})
-	c.SetDeadline(200 * time.Millisecond)
-	c.SetInjector(&scriptedInjector{respFault: MessageFault{Drop: true}})
-	executions := countingServer(t, c)
+	c, executions := countingConn(t, &scriptedInjector{respFault: MessageFault{Drop: true}})
 
 	seq := c.NextSeq()
 	_, err := c.CallSeq(seq, 1, []byte("victim"))

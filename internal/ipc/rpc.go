@@ -1,3 +1,18 @@
+// Package ipc implements the inter-process communication substrate: a
+// request/response RPC layer between the host and one agent process with
+// exactly-once delivery.
+//
+// The paper's prototype moves API requests between the host and agent
+// processes over shared-memory ring buffers synchronized with futexes
+// (§4.3, footnote 8). Agents here are simulated, so a Conn runs the
+// agent's handler inline, on the caller's goroutine, one request at a time
+// — the serialization a single agent serve loop gives — and charges the
+// crossing to the virtual clock instead: one IPCRoundTrip plus CopyCost
+// for the bytes moved each way. The paper's RPC semantics sit on top:
+// exactly-once in normal operation (§4.3) and at-least-once across agent
+// restarts (§4.4.2). Fault injection drops, duplicates, corrupts or stalls
+// messages at the points a real ring would, and every outcome is decided
+// on the virtual clock, so no result depends on wall time.
 package ipc
 
 import (
@@ -6,7 +21,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"freepart.dev/freepart/internal/vclock"
 )
@@ -16,21 +30,19 @@ import (
 // whether to retry, giving at-least-once semantics.
 var ErrAgentCrashed = errors.New("ipc: agent crashed during request")
 
-// ErrTimeout is returned by Call when no response arrived within the call
-// deadline, or when fault injection dropped a message. The request may or
-// may not have executed; a Retry with the same sequence number is safe
-// because the server-side dedup cache absorbs duplicates.
+// ErrTimeout is returned by Call when fault injection dropped a message and
+// the caller waited out the virtual IPCTimeout. The request may or may not
+// have executed; a Retry with the same sequence number is safe because the
+// server-side dedup cache absorbs duplicates.
 var ErrTimeout = errors.New("ipc: call timed out")
-
-// ErrPeerDead is returned by Call when the peer process is no longer alive
-// while the caller is waiting for a response — the bounded-failure guarantee
-// for a peer that crashed mid-serve without managing to answer.
-var ErrPeerDead = errors.New("ipc: peer process dead")
 
 // ErrCorrupt is returned by Call when a message failed its checksum — the
 // payload was damaged in transit. The request was not executed (corrupt
 // requests are rejected before dispatch), so a Retry is safe.
 var ErrCorrupt = errors.New("ipc: message corrupted in transit")
+
+// ErrClosed is returned by calls on a closed connection.
+var ErrClosed = errors.New("ipc: connection closed")
 
 // Handler executes one request and returns the response payload.
 // Returning an error wrapped around ErrAgentCrashed signals that the agent
@@ -62,15 +74,9 @@ type CallStats struct {
 	BytesResponse uint64
 }
 
-// Conn is a bidirectional RPC connection between the host process and one
-// agent process, built on two rings. The server side runs in its own
-// goroutine (Serve); the client side issues synchronous Calls.
-//
-// Pipelining: calls are seq-multiplexed. A demux goroutine matches each
-// response to the outstanding sequence number that is waiting for it, so
-// any number of goroutines can have overlapping calls in flight on one
-// connection — requests queue in the ring and the agent serves them
-// back-to-back without lock-stepping on the caller's round trip.
+// Conn is the RPC connection between the host process and one agent
+// process. Calls from any number of goroutines are safe; the agent serves
+// them one at a time, in the order they take the connection.
 //
 // Exactly-once: every request carries a sequence number; the server caches
 // the response to each sequence it has completed, so a retried request
@@ -78,42 +84,33 @@ type CallStats struct {
 // finished) is answered from the cache instead of re-executed. Stateless
 // re-execution after a genuine crash is the documented at-least-once path.
 type Conn struct {
-	req  *Ring
-	resp *Ring
-
 	clock *vclock.Clock
 	cost  vclock.CostModel
+	h     Handler
 
-	seq atomic.Uint64
+	seq    atomic.Uint64
+	closed atomic.Bool
 
-	mu        sync.Mutex
-	stats     CallStats
-	done      map[uint64][]byte // server-side dedup cache
-	doneCap   int
-	order     []uint64 // insertion order for cache eviction
-	inject    Injector
-	deadline  time.Duration
-	peerAlive func() bool
-	pending   map[uint64]*waiter // outstanding calls awaiting a response
-	epochs    map[uint64]uint32  // per-sequence attempt counters (retried seqs only)
-
-	demuxOnce sync.Once
-	demuxDone chan struct{}
+	// mu is held for a whole call, so the agent serves one request at a
+	// time.
+	mu      sync.Mutex
+	stats   CallStats
+	done    map[uint64][]byte // server-side dedup cache
+	doneCap int
+	order   []uint64 // insertion order for cache eviction
+	inject  Injector
 }
 
-// NewConn creates a connection with the given ring capacity. clock may be
-// nil to skip virtual-time charging (unit tests).
-func NewConn(capacity int, clock *vclock.Clock, cost vclock.CostModel) *Conn {
+// NewConn creates a connection served by h. h runs under the connection's
+// lock, so it must not call back into the same Conn. clock may be nil to
+// skip virtual-time charging (unit tests).
+func NewConn(clock *vclock.Clock, cost vclock.CostModel, h Handler) *Conn {
 	return &Conn{
-		req:       NewRing(capacity),
-		resp:      NewRing(capacity),
-		clock:     clock,
-		cost:      cost,
-		done:      make(map[uint64][]byte),
-		doneCap:   1024,
-		pending:   make(map[uint64]*waiter),
-		epochs:    make(map[uint64]uint32),
-		demuxDone: make(chan struct{}),
+		clock:   clock,
+		cost:    cost,
+		h:       h,
+		done:    make(map[uint64][]byte),
+		doneCap: 1024,
 	}
 }
 
@@ -125,23 +122,6 @@ func (c *Conn) SetInjector(i Injector) {
 	c.inject = i
 }
 
-// SetDeadline bounds how long a Call waits for its response; 0 (the
-// default) waits forever. An expired deadline surfaces as ErrTimeout.
-func (c *Conn) SetDeadline(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deadline = d
-}
-
-// SetPeerCheck installs a liveness probe for the serving peer. While a Call
-// is waiting, a quiet period with alive() == false surfaces as ErrPeerDead —
-// a crashed peer fails the call promptly instead of hanging to the deadline.
-func (c *Conn) SetPeerCheck(alive func() bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.peerAlive = alive
-}
-
 // respKindOK, respKindCrash and respKindCorrupt tag server responses.
 const (
 	respKindOK uint32 = iota
@@ -149,171 +129,44 @@ const (
 	respKindCorrupt
 )
 
-// sum64 is the payload checksum carried in Message.Sum (FNV-1a).
+// sum64 is the payload checksum a message carries (FNV-1a).
 func sum64(p []byte) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write(p)
 	return h.Sum64()
 }
 
-// pollInterval is how often a waiting Call re-checks peer liveness and its
-// deadline.
-const pollInterval = 20 * time.Millisecond
-
-// startDemux launches the response demultiplexer on first use. Lazy so
-// connections that only ever Serve (pure server side) pay nothing.
-func (c *Conn) startDemux() {
-	c.demuxOnce.Do(func() { go c.demux() })
-}
-
-// waiter is one outstanding call: the channel its response arrives on and
-// the attempt epoch it belongs to, so demux can drop stale answers to
-// abandoned attempts of the same sequence before they occupy the buffer.
-type waiter struct {
-	ch    chan Message
-	epoch uint32
-}
-
-// demux is the client side's response-matching loop: every message on the
-// response ring is routed to the outstanding call registered under its
-// sequence number. Responses for abandoned sequences (a timed-out call
-// whose answer arrived late, or a duplicate the dedup cache answered twice)
-// and for abandoned attempts (a stale epoch under a retried sequence) are
-// dropped. Exits — releasing every waiter — when the ring closes.
-func (c *Conn) demux() {
-	defer close(c.demuxDone)
-	for {
-		m, err := c.resp.Recv()
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		w := c.pending[m.Seq]
-		c.mu.Unlock()
-		if w == nil || w.epoch != m.Epoch {
-			continue // nobody is waiting for this attempt anymore
-		}
-		select {
-		case w.ch <- m:
-		default:
-			// The waiter's buffer already holds an answer for this seq
-			// (duplicated response); it needs only one.
-		}
+// serve is the agent side of one delivered request: verify, execute (with
+// dedup), respond. sum is the checksum of the payload as the sender meant
+// it. Called with c.mu held.
+func (c *Conn) serve(seq uint64, kind uint32, payload []byte, sum uint64) (uint32, []byte) {
+	if sum64(payload) != sum {
+		// Damaged in transit: reject before dispatch so a Retry with the
+		// same sequence can still execute exactly once.
+		return respKindCorrupt, []byte("request checksum mismatch")
 	}
-}
-
-// await registers seq as outstanding at the given attempt epoch and returns
-// the channel its response will arrive on. Must be called before the
-// request is sent, so a fast server cannot answer into the void.
-func (c *Conn) await(seq uint64, epoch uint32) chan Message {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.pending[seq]
-	if !ok || w.epoch != epoch {
-		w = &waiter{ch: make(chan Message, 1), epoch: epoch}
-		c.pending[seq] = w
+	if cached, dup := c.done[seq]; dup {
+		c.stats.Dedups++
+		return respKindOK, cached
 	}
-	return w.ch
-}
-
-// abandon deregisters an outstanding sequence; late responses for it are
-// dropped by demux.
-func (c *Conn) abandon(seq uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.pending, seq)
-}
-
-// waitResponse blocks until the response for seq arrives on ch, honoring
-// the call deadline and the peer-liveness probe.
-func (c *Conn) waitResponse(seq uint64, ch chan Message, deadline time.Duration, alive func() bool) (Message, error) {
-	if deadline <= 0 && alive == nil {
-		select {
-		case m := <-ch:
-			return m, nil
-		case <-c.demuxDone:
-			return Message{}, ErrClosed
-		}
+	out, err := c.h(kind, payload)
+	if errors.Is(err, ErrAgentCrashed) {
+		return respKindCrash, []byte(err.Error())
 	}
-	start := time.Now()
-	for {
-		poll := pollInterval
-		if deadline > 0 {
-			remain := deadline - time.Since(start)
-			if remain <= 0 {
-				return Message{}, fmt.Errorf("%w: seq %d after %v", ErrTimeout, seq, deadline)
-			}
-			if remain < poll {
-				poll = remain
-			}
-		}
-		t := time.NewTimer(poll)
-		select {
-		case m := <-ch:
-			t.Stop()
-			return m, nil
-		case <-c.demuxDone:
-			t.Stop()
-			return Message{}, ErrClosed
-		case <-t.C:
-			if alive != nil && !alive() {
-				return Message{}, fmt.Errorf("%w: seq %d", ErrPeerDead, seq)
-			}
-		}
+	if err != nil {
+		// Application-level errors travel as payloads; the RPC layer
+		// only distinguishes success from crash.
+		out = append([]byte("!"), []byte(err.Error())...)
+	} else {
+		out = append([]byte("="), out...)
 	}
-}
-
-// Serve runs the server loop: receive, verify, execute (with dedup),
-// respond. It returns when the request ring is closed. Run it in a
-// goroutine.
-func (c *Conn) Serve(h Handler) {
-	for {
-		m, err := c.req.Recv()
-		if err != nil {
-			return
-		}
-		if sum64(m.Payload) != m.Sum {
-			// Damaged in transit: reject before dispatch so a Retry with
-			// the same sequence can still execute exactly once.
-			out := []byte("request checksum mismatch")
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindCorrupt, Sum: sum64(out), Epoch: m.Epoch, Payload: out})
-			continue
-		}
-		c.mu.Lock()
-		cached, dup := c.done[m.Seq]
-		if dup {
-			c.stats.Dedups++
-		}
-		c.mu.Unlock()
-		if dup {
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindOK, Sum: sum64(cached), Epoch: m.Epoch, Payload: cached})
-			continue
-		}
-		out, err := h(m.Kind, m.Payload)
-		if err != nil && errors.Is(err, ErrAgentCrashed) {
-			p := []byte(err.Error())
-			_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindCrash, Sum: sum64(p), Epoch: m.Epoch, Payload: p})
-			continue
-		}
-		if err != nil {
-			// Application-level errors travel as payloads; the RPC layer
-			// only distinguishes success from crash.
-			out = append([]byte("!"), []byte(err.Error())...)
-		} else {
-			out = append([]byte("="), out...)
-		}
-		c.remember(m.Seq, out)
-		_ = c.resp.Send(Message{Seq: m.Seq, Kind: respKindOK, Sum: sum64(out), Epoch: m.Epoch, Payload: out})
-	}
+	c.remember(seq, out)
+	return respKindOK, out
 }
 
 // remember stores a completed response for dedup, evicting oldest entries.
+// Called with c.mu held.
 func (c *Conn) remember(seq uint64, out []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.done[seq]; ok {
-		return
-	}
 	c.done[seq] = out
 	c.order = append(c.order, seq)
 	for len(c.order) > c.doneCap {
@@ -322,7 +175,7 @@ func (c *Conn) remember(seq uint64, out []byte) {
 	}
 }
 
-// Call issues one request and blocks for its response, charging the IPC
+// Call issues one request and returns its response, charging the IPC
 // round-trip plus per-byte copy costs to the virtual clock. Application
 // errors returned by the handler come back as errors; a crash comes back
 // as ErrAgentCrashed.
@@ -349,123 +202,88 @@ func (c *Conn) Retry(seq uint64, kind uint32, payload []byte) ([]byte, error) {
 // LastSeq returns the most recently assigned sequence number.
 func (c *Conn) LastSeq() uint64 { return c.seq.Load() }
 
-func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]byte, error) {
-	c.startDemux()
-	c.mu.Lock()
-	inject, deadline, alive := c.inject, c.deadline, c.peerAlive
-	epoch := c.epochs[seq]
-	if retry {
-		// A new attempt under the same sequence: stale answers to the
-		// abandoned attempt (e.g. a crash notification still in flight)
-		// must not be mistaken for this one's response.
-		epoch++
-		c.epochs[seq] = epoch
+// advance charges d to the virtual clock, if there is one.
+func (c *Conn) advance(d vclock.Duration) {
+	if c.clock != nil && d > 0 {
+		c.clock.Advance(d)
 	}
-	c.mu.Unlock()
+}
 
-	// Register before sending: a fast server must find the waiter in place.
-	ch := c.await(seq, epoch)
-	defer c.abandon(seq)
+// fault draws the injector's decision for one message and charges its
+// stall, plus the IPCTimeout the caller waits out when the message is lost.
+func (c *Conn) fault(draw func(uint64, []byte) MessageFault, seq uint64, payload []byte) MessageFault {
+	f := draw(seq, payload)
+	c.advance(f.Stall)
+	if f.Drop {
+		c.advance(c.cost.IPCTimeout)
+	}
+	return f
+}
 
-	send := payload
-	if inject != nil {
-		f := inject.RequestFault(seq, payload)
-		if f.Stall > 0 && c.clock != nil {
-			c.clock.Advance(f.Stall)
-		}
+func (c *Conn) callSeq(seq uint64, kind uint32, payload []byte, retry bool) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return nil, ErrClosed
+	}
+
+	send, dup := payload, false
+	if c.inject != nil {
+		f := c.fault(c.inject.RequestFault, seq, payload)
 		if f.Drop {
-			if c.clock != nil {
-				c.clock.Advance(c.cost.IPCTimeout)
-			}
 			return nil, fmt.Errorf("%w: request seq %d lost", ErrTimeout, seq)
 		}
 		if f.Corrupt {
 			send = corrupted(payload)
 		}
-		// Sum covers the payload as intended, so corruption is detectable.
-		m := Message{Seq: seq, Kind: kind, Sum: sum64(payload), Epoch: epoch, Payload: send}
-		if err := c.req.Send(m); err != nil {
-			return nil, err
-		}
-		if f.Duplicate {
-			if err := c.req.Send(m); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if err := c.req.Send(Message{Seq: seq, Kind: kind, Sum: sum64(payload), Epoch: epoch, Payload: payload}); err != nil {
-			return nil, err
-		}
+		dup = f.Duplicate
 	}
-
-	m, err := c.waitResponse(seq, ch, deadline, alive)
-	if err != nil {
-		return nil, err
+	// The checksum covers the payload as intended, so corruption is
+	// detectable.
+	sum := sum64(payload)
+	respKind, resp := c.serve(seq, kind, send, sum)
+	if dup {
+		// The second copy reaches the agent right behind the first; its
+		// answer is never read.
+		c.serve(seq, kind, send, sum)
 	}
-	if m.Kind == respKindCrash {
+	if respKind == respKindCrash {
 		// A crash notification is control-plane bookkeeping, not a data
 		// message: it consumes no injector decision and charges nothing.
-		// That keeps the two ways a caller can observe the same crash —
-		// this notification, or the peer-liveness probe firing first when
-		// the notification is still in flight — byte-identical in both the
-		// injection decision stream and the virtual clock, so a replay
-		// cannot diverge on which one won the (real-time) race.
-		return nil, fmt.Errorf("%w: %s", ErrAgentCrashed, m.Payload)
+		return nil, fmt.Errorf("%w: %s", ErrAgentCrashed, resp)
 	}
-	if inject != nil {
-		f := inject.ResponseFault(seq, m.Payload)
-		if f.Stall > 0 && c.clock != nil {
-			c.clock.Advance(f.Stall)
-		}
+	respSum := sum64(resp)
+	if c.inject != nil {
+		f := c.fault(c.inject.ResponseFault, seq, resp)
 		if f.Drop {
-			if c.clock != nil {
-				c.clock.Advance(c.cost.IPCTimeout)
-			}
 			return nil, fmt.Errorf("%w: response seq %d lost", ErrTimeout, seq)
 		}
 		if f.Corrupt {
-			m.Payload = corrupted(m.Payload)
+			resp = corrupted(resp)
 		}
 	}
-	c.mu.Lock()
 	c.stats.Calls++
 	if retry {
 		c.stats.Retries++
 	}
 	c.stats.BytesRequest += uint64(len(payload))
-	c.stats.BytesResponse += uint64(len(m.Payload))
-	c.mu.Unlock()
-	if c.clock != nil {
-		c.clock.Advance(c.cost.IPCRoundTrip)
-		c.clock.Advance(c.cost.CopyCost(len(payload) + len(m.Payload)))
-	}
-	if m.Kind == respKindCorrupt || sum64(m.Payload) != m.Sum {
+	c.stats.BytesResponse += uint64(len(resp))
+	c.advance(c.cost.IPCRoundTrip)
+	c.advance(c.cost.CopyCost(len(payload) + len(resp)))
+	if respKind == respKindCorrupt || sum64(resp) != respSum {
 		return nil, fmt.Errorf("%w: seq %d", ErrCorrupt, seq)
 	}
-	// The response was accepted: no further attempts will reuse this seq,
-	// so its attempt counter can go.
-	c.mu.Lock()
-	delete(c.epochs, seq)
-	c.mu.Unlock()
-	if len(m.Payload) == 0 {
+	if len(resp) == 0 {
 		return nil, errors.New("ipc: malformed empty response")
 	}
-	switch m.Payload[0] {
+	switch resp[0] {
 	case '=':
-		return m.Payload[1:], nil
+		return resp[1:], nil
 	case '!':
-		return nil, errors.New(string(m.Payload[1:]))
+		return nil, errors.New(string(resp[1:]))
 	default:
-		return nil, fmt.Errorf("ipc: malformed response tag %q", m.Payload[0])
+		return nil, fmt.Errorf("ipc: malformed response tag %q", resp[0])
 	}
-}
-
-// InFlight reports how many calls are currently outstanding (pipelined) on
-// this connection.
-func (c *Conn) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }
 
 // corrupted returns a copy of p with one byte flipped (or a poison byte for
@@ -488,13 +306,5 @@ func (c *Conn) Stats() CallStats {
 	return c.stats
 }
 
-// RingStats returns traffic counters for the two underlying rings.
-func (c *Conn) RingStats() (req, resp RingStats) {
-	return c.req.Stats(), c.resp.Stats()
-}
-
-// Close shuts down both rings, terminating Serve.
-func (c *Conn) Close() {
-	c.req.Close()
-	c.resp.Close()
-}
+// Close shuts the connection; later calls fail with ErrClosed.
+func (c *Conn) Close() { c.closed.Store(true) }

@@ -1,6 +1,9 @@
 package workload
 
-import "math/rand"
+import (
+	"math/rand"
+	"sort"
+)
 
 // ZipfPopulation is a seeded, Zipf-skewed population of session keys: a
 // universe of Users distinct keys where key rank r is drawn with probability
@@ -47,21 +50,23 @@ func Hottest(keys []uint64, m int) []uint64 {
 	for _, k := range keys {
 		counts[k]++
 	}
-	uniq := make([]uint64, 0, len(counts))
-	for k := range counts {
-		uniq = append(uniq, k)
+	type keyCount struct {
+		key uint64
+		n   int
 	}
-	// Selection sort by (count desc, key asc): populations are small enough
-	// and determinism matters more than asymptotics here.
-	for i := 0; i < len(uniq); i++ {
-		best := i
-		for j := i + 1; j < len(uniq); j++ {
-			if counts[uniq[j]] > counts[uniq[best]] ||
-				(counts[uniq[j]] == counts[uniq[best]] && uniq[j] < uniq[best]) {
-				best = j
-			}
-		}
-		uniq[i], uniq[best] = uniq[best], uniq[i]
+	byCount := make([]keyCount, 0, len(counts))
+	for k, n := range counts {
+		byCount = append(byCount, keyCount{k, n})
+	}
+	// (count desc, key asc) is a total order, so the result does not
+	// depend on map iteration order.
+	sort.Slice(byCount, func(i, j int) bool {
+		a, b := byCount[i], byCount[j]
+		return a.n > b.n || (a.n == b.n && a.key < b.key)
+	})
+	uniq := make([]uint64, len(byCount))
+	for i, kc := range byCount {
+		uniq[i] = kc.key
 	}
 	if m > len(uniq) {
 		m = len(uniq)

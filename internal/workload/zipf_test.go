@@ -70,4 +70,9 @@ func TestHottest(t *testing.T) {
 	if h := Hottest(keys, 100); len(h) != 4 {
 		t.Fatalf("Hottest with m beyond uniques returned %d keys, want 4", len(h))
 	}
+	// Equal counts rank by lower key, whatever order the keys arrive in.
+	tied := []uint64{8, 3, 8, 3, 6}
+	if got, want := Hottest(tied, 3), []uint64{3, 8, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Hottest with tied counts = %v, want %v", got, want)
+	}
 }
