@@ -7,9 +7,10 @@
 //	experiments -exp fig13 -scale 8
 //	experiments -list            # print the available experiments
 //
-// Experiments: table1..table12, fig4, fig6, fig7, fig13, a14, security,
-// robustness, serving, failover, autoscale, overload, isolation, defense,
-// gray, partition.
+// Experiments: table1..table12, fig4, fig6, fig7, fig12, fig13, ablation,
+// a14, security, robustness, serving, failover, autoscale, overload,
+// isolation, defense, gray, partition. The last eight are the serving
+// drills examples/server also runs, at its own flag values.
 package main
 
 import (

@@ -3,70 +3,39 @@
 // availability, so FreePart's restart supervisor revives crashed agents
 // and the service keeps answering.
 //
-// The demo has two acts. First the availability story: three honest users
-// and one malicious one (a DoS exploit in the loading path). Unprotected,
-// the service dies at the malicious request and later users get nothing;
-// under FreePart the bad request fails alone. Second the serving mode: a
-// session-sharded core.Executor answers a request stream across
-// -concurrency runtime shards, printing virtual-time throughput and
-// latency percentiles from the merged per-shard clocks.
+// The default run has two acts. First the availability story: three honest
+// users and one malicious one (a DoS exploit in the loading path).
+// Unprotected, the service dies at the malicious request and later users get
+// nothing; under FreePart the bad request fails alone. Second the serving
+// mode: a session-sharded pool of -concurrency protected shards answers a
+// -requests stream, reported as the serving experiment's row at that shard
+// count (virtual-time throughput and latency percentiles). -kill-shard <id>
+// stages the failover drill in its place: the named shard dies halfway
+// through its baseline serving window, its sessions migrate to a
+// replacement through the portable checkpoint store, and the rows show the
+// drains, the migrations and the p99 the failover added.
 //
-// Pass -kill-shard to stage a failover drill: the named shard is killed at
-// the given virtual time into the serving run, its sessions migrate to a
-// replacement through the portable checkpoint store, and the demo prints how
-// many sessions moved and what the failover added to the p99 latency.
+// Each other mode flag runs one drill instead, at the flag values. Every act
+// is the same code as the matching `experiments -exp <name>` table, printed
+// with the same renderer:
 //
-// Pass -autoscale to run the control-plane act instead: the stateful
-// tracking workload under a load ramp, with the sched reconcile loop
-// growing the pool as burst clients join, rebalancing sessions onto fresh
-// shards, batching admissions, and shrinking — drain and migrate, no
-// corpse — after the burst leaves. The demo prints the replayable decision
-// log and the tail-latency/shard-seconds summary.
-//
-// Pass -overload <factor> to run the overload-protection act: a two-tenant
-// tracking load offered at factor× the pool's calibrated capacity, served
-// under a bounded admission queue with deadline shedding and weighted fair
-// queueing. The demo prints goodput, the shed work split by error class
-// (core.ErrClass), and the per-tenant served/shed balance.
-//
-// Pass -isolation <paper|tiered|erim|none> to run the tiered-isolation act:
-// the full detection pipeline (load, detect, annotate, show, store) served
-// under the named Boundary policy, with the per-tier mechanism costs and
-// the domain switch/copy counters the run generated printed at the end.
-//
-// Pass -slow-shard <id>@<factor> to run the gray-failure act: the named
-// shard stays alive but serves every call factor-times slow. A fault-free
-// pass calibrates the suspicion scorer's service-time baseline and the
-// hedge delay; the degraded pass then serves the same stream with latency
-// scoring and hedged requests armed, and the demo prints the suspicion
-// scores, the drain of the slow shard, the hedge race counters, and what
-// the gray failure added to the p99 latency after mitigation.
-//
-// Pass -partitions <n> to run the partition-plane act: a Zipf-skewed
-// population of returning users (skew set by -zipf) served on a
-// range-partitioned keyed data plane with placement memory. The first pass
-// shows the melt — every partition prefers its home shard, so the Zipf
-// head's range concentrates its mass on one shard and queues. The second
-// pass serves the same stream but stages a mid-window rebalance drill:
-// split the hot partition at its observed load midpoint, migrate the upper
-// half's live sessions to the coldest shard, and revoke the moved range's
-// stale placement traces. The demo prints the warm-hit ratios, both latency
-// distributions, and verifies the drill changed no served byte.
-//
-// Pass -defense to run the adaptive-defense act: the pool starts at the
-// cheap erim floor with the defense controller armed, an attacker lands
-// one imread DoS exploit (first sighting: the shard's host dies and fails
-// over), and the next barrier arms the signature blocklist, quarantines
-// the attacker, and escalates the hit API type. The repeat exploit dies
-// at the front door (attack-blocked), the attacker's benign traffic is
-// refused at admission (quarantined), honest users keep being served, and
-// after a clean wave the policy anneals back to the floor and the tenant
-// is released. The demo prints the failure classes and the replayable
-// decision log.
+//	-slow-shard <id>@<factor>  gray: one shard alive but factor-times slow,
+//	                           unmitigated, drain only, and hedge + drain
+//	-autoscale                 autoscale: the tracking load ramp on fixed
+//	                           pools and under the control plane (2..N shards)
+//	-overload <factor>         overload: two tenants offered factor× the pool's
+//	                           capacity, FIFO versus weighted fair admission
+//	-isolation <policy>        isolation: the 18-CVE replay and serving
+//	                           overhead, the named policy's row
+//	-defense                   defense: the adaptive campaign against the
+//	                           static presets, with the controller's decision log
+//	-partitions <n> -zipf <s>  partition: a Zipf visit stream over n range
+//	                           partitions, the placement frontier and the
+//	                           hot-range melt with and without the rebalance
 //
 //	go run ./examples/server
 //	go run ./examples/server -concurrency 4 -requests 64
-//	go run ./examples/server -concurrency 4 -requests 64 -kill-shard 2@1ms
+//	go run ./examples/server -concurrency 4 -requests 64 -kill-shard 2
 //	go run ./examples/server -concurrency 4 -requests 64 -slow-shard 2@10
 //	go run ./examples/server -autoscale -concurrency 8
 //	go run ./examples/server -overload 4 -concurrency 4
@@ -79,143 +48,113 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
+	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/attack"
-	"freepart.dev/freepart/internal/chaos"
 	"freepart.dev/freepart/internal/core"
-	"freepart.dev/freepart/internal/defense"
 	"freepart.dev/freepart/internal/framework"
 	"freepart.dev/freepart/internal/framework/all"
 	"freepart.dev/freepart/internal/framework/simcv"
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
-	"freepart.dev/freepart/internal/partition"
 	"freepart.dev/freepart/internal/report"
-	"freepart.dev/freepart/internal/sched"
-	"freepart.dev/freepart/internal/vclock"
 	"freepart.dev/freepart/internal/workload"
-
-	"freepart.dev/freepart/internal/apps"
 )
 
 func main() {
-	concurrency := flag.Int("concurrency", 4, "runtime shards in the serving pool (the ceiling with -autoscale)")
-	requests := flag.Int("requests", 32, "requests in the serving-mode stream")
-	killShard := flag.String("kill-shard", "", "failover drill: kill shard <id> at virtual time <d> into the run, e.g. 2@1ms")
-	slowShard := flag.String("slow-shard", "", "gray drill: serve with shard <id> alive but <factor>x slow, e.g. 2@10; suspicion scoring and hedging mitigate")
-	autoscale := flag.Bool("autoscale", false, "autoscaling drill: serve the tracking load ramp with the control plane scaling 2..concurrency shards")
-	overload := flag.Int("overload", 0, "overload drill: offer the two-tenant tracking load at this multiple of pool capacity (0 = off)")
-	isolationName := flag.String("isolation", "", "isolation drill: serve under this tier policy (paper|tiered|erim|none; empty = off)")
-	defenseMode := flag.Bool("defense", false, "adaptive-defense drill: start at the erim floor, escalate/quarantine on attack sightings, anneal back")
-	partitions := flag.Int("partitions", 0, "partition drill: serve a Zipf-keyed stream over this many range partitions and rebalance the hot one mid-window (0 = off)")
-	zipf := flag.Float64("zipf", 1.1, "Zipf skew of the -partitions user population (must exceed 1)")
-	flag.Parse()
-	// Fail bad flags fast, before any demo act runs.
-	if *concurrency < 1 {
-		log.Fatalf("-concurrency %d: the serving pool needs at least 1 shard", *concurrency)
+	o, err := parseArgs(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *requests < 0 {
-		log.Fatalf("-requests %d: the request stream cannot have a negative length", *requests)
+	a, standalone := o.act()
+	if !standalone {
+		fmt.Println("=== unprotected server ===")
+		serve(false)
+		fmt.Println()
+		fmt.Println("=== FreePart server ===")
+		serve(true)
+		fmt.Println()
 	}
-	if *overload < 0 {
-		log.Fatalf("-overload %d: the load factor is a multiple of capacity; want 0 (off) or a positive factor like 4", *overload)
+	fmt.Printf("=== FreePart %s ===\n", a.banner)
+	tables, err := a.run()
+	if err != nil {
+		log.Fatal(err)
 	}
-	if *killShard != "" {
-		if _, _, err := parseKillSpec(*killShard, *concurrency); err != nil {
-			log.Fatalf("-kill-shard: %v", err)
-		}
-	}
-	if *slowShard != "" {
-		if _, _, err := parseSlowSpec(*slowShard, *concurrency); err != nil {
-			log.Fatalf("-slow-shard: %v", err)
-		}
-	}
-	var pol *isolation.Policy
-	if *isolationName != "" {
-		var ok bool
-		pol, ok = isolation.ByName(*isolationName)
-		if !ok {
-			log.Fatalf("-isolation %q: unknown policy; want one of %s", *isolationName, strings.Join(isolation.Names(), "|"))
-		}
-	}
-	if *partitions < 0 {
-		log.Fatalf("-partitions %d: want 0 (off) or a positive partition count", *partitions)
-	}
-	if *partitions > 0 && *zipf <= 1 {
-		log.Fatalf("-zipf %g: the Zipf skew must exceed 1", *zipf)
-	}
-	if *partitions > 0 {
-		shards := *concurrency
-		if shards%2 != 0 {
-			shards++ // the two-socket topology needs pairs
-		}
-		fmt.Printf("=== FreePart partition mode (%d shards, %d partitions, zipf %.2f) ===\n",
-			shards, *partitions, *zipf)
-		servePartition(shards, *requests, *partitions, *zipf)
-		return
-	}
-	if *defenseMode {
-		fmt.Printf("=== FreePart adaptive defense mode (%d shards) ===\n", *concurrency)
-		serveDefense(*concurrency, *requests)
-		return
-	}
-	if pol != nil {
-		fmt.Printf("=== FreePart isolation mode (%s policy, %d shards) ===\n", pol.Name, *concurrency)
-		serveIsolation(*concurrency, *requests, pol)
-		return
-	}
-	if *overload > 0 {
-		fmt.Printf("=== FreePart overload mode (%d shards, %dx capacity) ===\n", *concurrency, *overload)
-		serveOverload(*concurrency, *overload)
-		return
-	}
-	if *slowShard != "" {
-		id, factor, _ := parseSlowSpec(*slowShard, *concurrency)
-		fmt.Printf("=== FreePart gray-failure mode (%d shards, shard %d at %gx) ===\n", *concurrency, id, factor)
-		serveGray(*concurrency, *requests, id, factor)
-		return
-	}
-	if *autoscale {
-		max := *concurrency
-		if max < 3 {
-			max = 3
-		}
-		fmt.Printf("=== FreePart autoscaling mode (2..%d shards) ===\n", max)
-		serveAutoscale(max)
-		return
-	}
-
-	fmt.Println("=== unprotected server ===")
-	serve(false)
-	fmt.Println()
-	fmt.Println("=== FreePart server ===")
-	serve(true)
-	fmt.Println()
-	fmt.Printf("=== FreePart serving mode (%d shards) ===\n", *concurrency)
-	serveConcurrent(*concurrency, *requests, *killShard)
+	fmt.Print(tables)
 }
 
-// parseKillSpec splits a -kill-shard value of the form "<id>@<duration>",
-// e.g. "2@1ms": kill shard 2 one virtual millisecond into the serving run.
-func parseKillSpec(spec string, shards int) (int, vclock.Duration, error) {
-	idPart, atPart, ok := strings.Cut(spec, "@")
-	if !ok {
-		return 0, 0, fmt.Errorf("want <id>@<duration>, e.g. 2@1ms; got %q", spec)
+// options is a parsed and validated command line.
+type options struct {
+	concurrency, requests int
+	killShard             int // -1: no failover drill
+	slowShard             int // -1: no gray drill
+	slowFactor            float64
+	autoscale, defense    bool
+	overload              int
+	isolation             string
+	partitions            int
+	zipf                  float64
+}
+
+// parseArgs parses args with fs and validates every value, so bad flags
+// fail before any act runs.
+func parseArgs(fs *flag.FlagSet, args []string) (options, error) {
+	o := options{killShard: -1, slowShard: -1}
+	fs.IntVar(&o.concurrency, "concurrency", 4, "runtime shards in the serving pool (the ceiling with -autoscale)")
+	fs.IntVar(&o.requests, "requests", 32, "requests in the serving-mode stream")
+	killSpec := fs.String("kill-shard", "", "failover drill: kill shard <id> halfway through its baseline serving window, e.g. 2")
+	slowSpec := fs.String("slow-shard", "", "gray drill: serve with shard <id> alive but <factor>x slow, e.g. 2@10; suspicion scoring and hedging mitigate")
+	fs.BoolVar(&o.autoscale, "autoscale", false, "autoscaling drill: serve the tracking load ramp with the control plane scaling 2..concurrency shards")
+	fs.IntVar(&o.overload, "overload", 0, "overload drill: offer the two-tenant tracking load at this multiple of pool capacity (0 = off)")
+	fs.StringVar(&o.isolation, "isolation", "", "isolation drill: serve under this tier policy (paper|tiered|erim|none; empty = off)")
+	fs.BoolVar(&o.defense, "defense", false, "adaptive-defense drill: start at the erim floor, escalate/quarantine on attack sightings, anneal back")
+	fs.IntVar(&o.partitions, "partitions", 0, "partition drill: serve a Zipf-keyed stream over this many range partitions and rebalance the hot one mid-window (0 = off)")
+	fs.Float64Var(&o.zipf, "zipf", 1.1, "Zipf skew of the -partitions user population (must exceed 1)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
 	}
-	id, err := strconv.Atoi(idPart)
-	if err != nil || id < 0 || id >= shards {
-		return 0, 0, fmt.Errorf("shard id %q out of range [0,%d)", idPart, shards)
+	switch {
+	case o.concurrency < 1:
+		return o, fmt.Errorf("-concurrency %d: the serving pool needs at least 1 shard", o.concurrency)
+	case o.requests < 0:
+		return o, fmt.Errorf("-requests %d: the request stream cannot have a negative length", o.requests)
+	case o.overload < 0:
+		return o, fmt.Errorf("-overload %d: the load factor is a multiple of capacity; want 0 (off) or a positive factor like 4", o.overload)
+	case o.partitions < 0:
+		return o, fmt.Errorf("-partitions %d: want 0 (off) or a positive partition count", o.partitions)
+	case o.partitions > 0 && o.zipf <= 1:
+		return o, fmt.Errorf("-zipf %g: the Zipf skew must exceed 1", o.zipf)
 	}
-	at, err := time.ParseDuration(atPart)
-	if err != nil || at <= 0 {
-		return 0, 0, fmt.Errorf("bad kill time %q: want a positive duration like 1ms", atPart)
+	if o.isolation != "" {
+		if _, ok := isolation.ByName(o.isolation); !ok {
+			return o, fmt.Errorf("-isolation %q: unknown policy; want one of %s", o.isolation, strings.Join(isolation.Names(), "|"))
+		}
 	}
-	return id, vclock.Duration(at), nil
+	var err error
+	if *killSpec != "" {
+		if o.killShard, err = parseKillSpec(*killSpec, o.concurrency); err != nil {
+			return o, fmt.Errorf("-kill-shard: %w", err)
+		}
+	}
+	if *slowSpec != "" {
+		if o.slowShard, o.slowFactor, err = parseSlowSpec(*slowSpec, o.concurrency); err != nil {
+			return o, fmt.Errorf("-slow-shard: %w", err)
+		}
+	}
+	return o, nil
+}
+
+// parseKillSpec reads a -kill-shard value: the id of the shard to kill. The
+// drill derives the kill time (halfway through the victim's baseline
+// window), so the older "<id>@<duration>" form is rejected.
+func parseKillSpec(spec string, shards int) (int, error) {
+	if idPart, _, ok := strings.Cut(spec, "@"); ok {
+		return 0, fmt.Errorf("%q: the drill derives the kill time; pass the shard id alone, e.g. -kill-shard %s", spec, idPart)
+	}
+	return parseShardID(spec, shards)
 }
 
 // parseSlowSpec splits a -slow-shard value of the form "<id>@<factor>",
@@ -225,15 +164,113 @@ func parseSlowSpec(spec string, shards int) (int, float64, error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("want <id>@<factor>, e.g. 2@10; got %q", spec)
 	}
-	id, err := strconv.Atoi(idPart)
-	if err != nil || id < 0 || id >= shards {
-		return 0, 0, fmt.Errorf("shard id %q out of range [0,%d)", idPart, shards)
+	id, err := parseShardID(idPart, shards)
+	if err != nil {
+		return 0, 0, err
 	}
 	factor, err := strconv.ParseFloat(facPart, 64)
 	if err != nil || factor <= 1 {
 		return 0, 0, fmt.Errorf("bad slowdown %q: want a factor above 1 like 10", facPart)
 	}
 	return id, factor, nil
+}
+
+// parseShardID reads a shard id that must name a slot of a shards-wide pool.
+func parseShardID(s string, shards int) (int, error) {
+	id, err := strconv.Atoi(s)
+	if err != nil || id < 0 || id >= shards {
+		return 0, fmt.Errorf("shard id %q out of range [0,%d)", s, shards)
+	}
+	return id, nil
+}
+
+// act is the drill the flags select: its banner, and a run that measures it
+// through internal/report and renders the rows the way cmd/experiments does.
+type act struct {
+	banner string
+	run    func() (report.Tables, error)
+}
+
+// act picks the drill, first match wins in the order below. standalone is
+// false for the serving and failover drills, which follow the availability
+// act.
+func (o options) act() (a act, standalone bool) {
+	n, reqs := o.concurrency, o.requests
+	switch {
+	case o.partitions > 0:
+		shards := n + n%2 // the two-socket topology needs pairs
+		visits := max(20*reqs, 400)
+		return act{fmt.Sprintf("partition mode (%d shards, %d partitions, zipf %.2f)", shards, o.partitions, o.zipf), func() (report.Tables, error) {
+			rows, err := report.MeasurePartition(shards, o.partitions, visits, visits, o.zipf)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderPartition(rows), nil
+		}}, true
+	case o.defense:
+		return act{fmt.Sprintf("adaptive defense mode (%d shards)", n), func() (report.Tables, error) {
+			rows, err := report.MeasureDefense(n, reqs)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderDefense(rows), nil
+		}}, true
+	case o.isolation != "":
+		return act{fmt.Sprintf("isolation mode (%s policy, %d shards)", o.isolation, n), func() (report.Tables, error) {
+			rows, err := report.MeasureIsolation(n, reqs)
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range rows {
+				if r.Policy == o.isolation {
+					return report.RenderIsolation(n, reqs, []report.IsolationResult{r}), nil
+				}
+			}
+			return nil, fmt.Errorf("isolation drill has no %q row", o.isolation)
+		}}, true
+	case o.overload > 0:
+		heavy, light := 4*n, n
+		return act{fmt.Sprintf("overload mode (%d shards, %dx capacity)", n, o.overload), func() (report.Tables, error) {
+			rows, err := report.MeasureOverload(n, heavy, light, 64, []int{o.overload})
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderOverload(n, heavy, light, rows), nil
+		}}, true
+	case o.slowShard >= 0:
+		return act{fmt.Sprintf("gray-failure mode (%d shards, shard %d at %gx)", n, o.slowShard, o.slowFactor), func() (report.Tables, error) {
+			rows, err := report.MeasureGray(n, reqs, o.slowShard, o.slowFactor)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderGray(rows), nil
+		}}, true
+	case o.autoscale:
+		ceiling := max(n, 3)
+		return act{fmt.Sprintf("autoscaling mode (2..%d shards)", ceiling), func() (report.Tables, error) {
+			rows, err := report.MeasureAutoscale(2, ceiling, 4, 10, 128)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderAutoscale(rows), nil
+		}}, true
+	case o.killShard >= 0:
+		return act{fmt.Sprintf("failover mode (%d shards, kill shard %d)", n, o.killShard), func() (report.Tables, error) {
+			rows, err := report.MeasureFailover(n, reqs, o.killShard)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderFailover(rows), nil
+		}}, false
+	default:
+		return act{fmt.Sprintf("serving mode (%d shards)", n), func() (report.Tables, error) {
+			rows, err := report.MeasureServing([]int{n}, reqs)
+			if err != nil {
+				return nil, err
+			}
+			return report.RenderServing(rows), nil
+		}}, false
+	}
 }
 
 // request is one user's submission.
@@ -315,685 +352,10 @@ func serve(protected bool) {
 	fmt.Printf("service process alive: %v\n", alive)
 }
 
-// serveConcurrent runs the session-sharded serving layer: n protected
-// runtime shards behind a core.Executor, one model build shared across all
-// shards via the read-only object store, and a deterministic request
-// stream fanned out through sessions. A non-empty killSpec stages a failover
-// drill on top: the same stream is first served undisturbed to establish the
-// baseline p99, then re-served with the named shard killed at the given
-// virtual time.
-func serveConcurrent(shards, requests int, killSpec string) {
-	reqs := apps.GenDetectionRequests(11, requests)
-
-	var killID int
-	var killAt vclock.Duration
-	var baseP99 vclock.Duration
-	if killSpec != "" {
-		var err error
-		killID, killAt, err = parseKillSpec(killSpec, shards)
-		if err != nil {
-			log.Fatalf("-kill-shard: %v", err)
-		}
-		bex, p99 := serveStream(shards, reqs, -1, 0, false)
-		bex.Close()
-		baseP99 = p99
-	}
-
-	ex, p99 := serveStream(shards, reqs, killID, killAt, killSpec != "")
-	defer ex.Close()
-
-	if killSpec != "" {
-		m := ex.Metrics().Snapshot()
-		fmt.Printf("failover drill: killed shard %d at +%v\n", killID, killAt)
-		fmt.Printf("shards drained: %d, sessions migrated: %d (failed: %d)\n",
-			m.ShardDrains, m.Migrations, m.FailedMigrations)
-		for _, ev := range ex.FailoverEventsFor(killID) {
-			fmt.Printf("  [%v] shard %d gen %d: %s %s\n", ev.At, ev.Shard, ev.Gen, ev.Kind, ev.Detail)
-		}
-		fmt.Printf("added p99: %v (baseline %v, with failover %v)\n", p99-baseP99, baseP99, p99)
-	}
-}
-
-// serveGray runs the gray-failure act: the same detection stream served
-// twice, first fault-free (calibrating the suspicion scorer's service-time
-// baseline and the hedge delay, no oracle knowledge of the slow slot), then
-// with shard slowID alive but factor-times slow and both mitigations armed.
-// Serving is strictly sequential so drains and hedge races replay
-// byte-equal.
-func serveGray(shards, requests, slowID int, factor float64) {
-	reqs := apps.GenDetectionRequests(11, requests)
-
-	run := func(degrade bool, gray core.GrayPolicy, hedge core.HedgePolicy) *core.Executor {
-		reg := all.Registry()
-		cat := analysis.New(reg, nil).Categorize()
-		planOf := func(id, gen int) chaos.Plan {
-			p := chaos.Plan{Seed: chaos.DerivedSeed(11, id)}
-			if degrade && id == slowID && gen == 0 {
-				// Only generation 0 is gray: a replacement models a fresh
-				// machine taking over the slot.
-				p = p.WithDegrade(chaos.DegradePlan{Factor: factor})
-			}
-			return p
-		}
-		ex, err := core.NewExecutor(shards, core.ChaosShards(reg, cat, core.Default(), planOf))
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv, err := apps.ProvisionDetection(ex)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < ex.Shards(); i++ {
-			ex.Shard(i).K.Clock.Reset()
-		}
-		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
-		ex.SetGray(gray)
-		ex.SetHedge(hedge)
-		results := srv.ServeSeq(reqs)
-		fmt.Printf("served %d/%d requests across %d shards\n", apps.Served(results), len(reqs), ex.Shards())
-		return ex
-	}
-
-	// Fault-free calibration pass: an inert scorer (ratio beyond any healthy
-	// deviation) harvests per-shard service-time EWMAs without judging.
-	cal := run(false, core.GrayPolicy{Ratio: 1e9, Baseline: 1}, core.HedgePolicy{})
-	var baseline vclock.Duration
-	for _, g := range cal.GrayScores() {
-		if g.EWMA > baseline {
-			baseline = g.EWMA
-		}
-	}
-	hedgeDelay := core.DeriveHedgeDelay(cal.Latencies(), 95, baseline)
-	baseP99 := cal.Latencies().P99()
-	cal.Close()
-	if baseline <= 0 {
-		log.Fatal("gray calibration produced no service-time baseline")
-	}
-	fmt.Printf("calibrated fault-free: service baseline %v, hedge delay %v, p99 %v\n", baseline, hedgeDelay, baseP99)
-	fmt.Printf("gray drill: shard %d alive but %gx slow, scoring + hedging armed\n", slowID, factor)
-
-	ex := run(true, core.GrayPolicy{Ratio: 3, Baseline: baseline}, core.HedgePolicy{Delay: hedgeDelay})
-	defer ex.Close()
-	for _, ev := range ex.FailoverEventsFor(slowID) {
-		fmt.Printf("  [%v] shard %d gen %d: %s %s\n", ev.At, ev.Shard, ev.Gen, ev.Kind, ev.Detail)
-	}
-	lat := ex.Latencies()
-	fmt.Printf("virtual latency: p50=%v p95=%v p99=%v\n", lat.P50(), lat.P95(), lat.P99())
-	printGraySummary(ex)
-	fmt.Printf("added p99 after mitigation: %v (fault-free %v, gray %v)\n", lat.P99()-baseP99, baseP99, lat.P99())
-}
-
-// printGraySummary appends the gray-failure lines to a serving summary:
-// per-shard suspicion scores and the hedge race counters. It prints nothing
-// when the gray layer never engaged, so acts that don't arm scoring or
-// hedging stay unchanged.
-func printGraySummary(ex *core.Executor) {
-	m := ex.Metrics().Snapshot()
-	scores := ex.GrayScores()
-	active := m.Hedges > 0 || m.GrayDrains > 0
-	for _, g := range scores {
-		if g.Samples > 0 || g.Suspect || g.Drains > 0 {
-			active = true
-		}
-	}
-	if !active {
-		return
-	}
-	fmt.Println("suspicion scores:")
-	for _, g := range scores {
-		fmt.Printf("  %s\n", g)
-	}
-	fmt.Printf("hedges: %d launched, %d won, %d cancelled, %v extra shard time\n",
-		m.Hedges, m.HedgeWins, m.HedgeCancels, m.HedgeWork)
-}
-
-// serveStream provisions a fresh executor, serves reqs, and prints the
-// serving summary. With kill set, the shard killID is scheduled to die at
-// virtual time killAt into the run. Returns the executor (caller closes) and
-// the observed p99.
-func serveStream(shards int, reqs []apps.DetectionRequest, killID int, killAt vclock.Duration, kill bool) (*core.Executor, vclock.Duration) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	ex, err := core.NewExecutor(shards, core.ProtectedShards(reg, cat, core.Default()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := apps.ProvisionDetection(ex)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := ex.Store().Stats()
-	fmt.Printf("model interned: %d build(s) serving %d shards read-only\n", st.Builds, ex.Shards())
-	// Measure the serving window, not the (identical per shard) boot cost.
-	for i := 0; i < ex.Shards(); i++ {
-		ex.Shard(i).K.Clock.Reset()
-	}
-	if kill {
-		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
-		ex.ScheduleKill(killID, killAt)
-	}
-
-	results := srv.Serve(reqs)
-	byClass := map[string]int{}
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Printf("user %d: request failed (%s)\n", r.User, short(r.Err))
-			byClass[core.ErrClass(r.Err)]++
-		}
-	}
-	printClassSummary(byClass)
-	lat := ex.Latencies()
-	crit := ex.CriticalPath()
-	fmt.Printf("served %d/%d requests across %d shards\n", apps.Served(results), len(reqs), ex.Shards())
-	fmt.Printf("virtual latency: p50=%v p95=%v p99=%v\n", lat.P50(), lat.P95(), lat.P99())
-	if crit > 0 {
-		fmt.Printf("critical path: %v (%.1f requests per virtual second, parallelism %.2f)\n",
-			crit, float64(len(reqs))/crit.Seconds(), float64(ex.TotalWork())/float64(crit))
-	}
-	printGraySummary(ex)
-	return ex, lat.P99()
-}
-
-// serveAutoscale runs the control-plane act: the stateful tracking ramp
-// (base clients for the whole run, burst clients joining mid-run and
-// leaving early) served by a pool the sched controller scales between 2
-// and max shards, with least-loaded placement and batched admission.
-func serveAutoscale(max int) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	ex, err := core.NewExecutor(2, core.ProtectedShards(reg, cat, core.Default()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ex.Close()
-	srv := apps.ProvisionTracking(ex)
-	// Measure the serving window, not the (identical per shard) boot cost;
-	// shards the controller grows mid-run do pay their boot on the timeline.
-	for i := 0; i < ex.Shards(); i++ {
-		ex.Shard(i).K.Clock.Reset()
-	}
-	ctl := sched.New(ex, sched.DefaultPolicy(2, max), nil)
-
-	streams := apps.GenRampStreams(11, 4, 10, 128)
-	results := srv.ServeRamp(streams, ctl, ctl.Batch())
-	served := 0
-	for _, r := range results {
-		if r.Err != nil {
-			fmt.Printf("stream %d: failed (%s)\n", r.User, short(r.Err))
-			continue
-		}
-		served++
-	}
-
-	m := ex.Metrics().Snapshot()
-	lat := ex.Latencies()
-	crit := ex.CriticalPath()
-	fmt.Printf("served %d/%d streams; pool peaked at %d shards (floor 2, ceiling %d)\n",
-		served, len(streams), ctl.PeakShards(), max)
-	fmt.Printf("scale-ups: %d, scale-downs: %d, rebalances: %d, batched %d requests into %d admissions\n",
-		m.ScaleUps, m.ScaleDowns, m.Rebalances, m.BatchedRequests, m.BatchedAdmissions)
-	fmt.Printf("virtual latency: p50=%v p95=%v p99=%v\n", lat.P50(), lat.P95(), lat.P99())
-	fmt.Printf("shard-seconds: %v over a %v critical path (fixed n=%d would burn %v)\n",
-		ex.ShardSeconds(crit), crit, max, vclock.Duration(int64(max)*int64(crit)))
-	fmt.Println("decision log (replayable, byte-equal across runs):")
-	for _, ev := range ctl.Events() {
-		fmt.Printf("  %s\n", ev)
-	}
-}
-
-// serveOverload runs the overload-protection act: a two-tenant tracking
-// load (4:1 stream skew at equal weight) offered at factor× the pool's
-// calibrated capacity, served under a bounded admission queue with deadline
-// shedding and weighted-fair-queueing admission order. Overload becomes
-// explicit typed rejections instead of unbounded queue wait, and WFQ makes
-// the heavy tenant's excess — not the light tenant's trickle — absorb them.
-func serveOverload(shards, factor int) {
-	initCost, stepCost, err := report.CalibrateTracking()
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	ex, err := core.NewExecutor(shards, core.ProtectedShards(reg, cat, core.Default()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ex.Close()
-	srv := apps.ProvisionTracking(ex)
-	// Measure the serving window, not the (identical per shard) boot cost.
-	for i := 0; i < ex.Shards(); i++ {
-		ex.Shard(i).K.Clock.Reset()
-	}
-
-	const steps = 64
-	heavy, light := 4*shards, shards
-	perShard := (heavy + light) / shards
-	pol := core.AdmissionPolicy{QueueLimit: 3, Deadline: 2 * stepCost}
-	ex.SetAdmission(pol)
-	// gap = perShard·stepCost/factor offers exactly factor× pool capacity;
-	// warm lets every shard finish its session inits before measuring.
-	gap := stepCost * vclock.Duration(perShard) / vclock.Duration(factor)
-	warm := initCost * vclock.Duration(perShard+1)
-	streams := apps.GenTenantStreams(17, heavy, light, steps, gap, warm)
-	results := srv.ServeRampOpts(streams, apps.RampOptions{
-		TolerateShed: true,
-		Orderer:      &sched.WFQ{Quantum: 5 * stepCost / 4},
-	})
-
-	admitted, dropped := 0, 0
-	for _, r := range results {
-		admitted += r.Steps
-		dropped += r.Dropped
-		if r.Err != nil {
-			fmt.Printf("stream %d: failed (%s)\n", r.User, short(r.Err))
-		}
-	}
-	m := ex.Metrics().Snapshot()
-	lat := ex.Latencies()
-	fmt.Printf("offered %d steps at %dx capacity (queue limit %d, deadline %v)\n",
-		(heavy+light)*steps, factor, pol.QueueLimit, pol.Deadline)
-	fmt.Printf("admitted %d, shed %d\n", admitted, dropped)
-	printClassSummary(map[string]int{
-		core.ErrClass(core.ErrOverloaded):       int(m.Rejected),
-		core.ErrClass(core.ErrDeadlineExceeded): int(m.DeadlineShed),
-	})
-	for _, t := range ex.TenantLoads() {
-		fmt.Printf("tenant %d (weight %d): served %d, rejected %d, deadline-shed %d\n",
-			t.Tenant, t.Weight, t.Served, t.Rejected, t.Shed)
-	}
-	fmt.Printf("admitted-request latency: p50=%v p99=%v (bounded by queue limit x service time at any factor)\n",
-		lat.P50(), lat.P99())
-}
-
-// serveIsolation runs the tiered-isolation act: the detection stream served
-// with every request crossing all four API types (load, detect, annotate,
-// show, store), so the policy's tier assignments all show up in the critical
-// path, followed by the mechanism-cost summary per tier.
-func serveIsolation(shards, requests int, pol *isolation.Policy) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	ex, err := core.NewExecutor(shards, core.ProtectedShards(reg, cat, core.ConfigForIsolation(pol)))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ex.Close()
-
-	typeNames := map[framework.APIType]string{
-		framework.TypeLoading:     "loading",
-		framework.TypeProcessing:  "processing",
-		framework.TypeVisualizing: "visualizing",
-		framework.TypeStoring:     "storing",
-	}
-	fmt.Printf("policy %s:", pol.Name)
-	for _, t := range framework.ConcreteTypes() {
-		fmt.Printf(" %s=%s", typeNames[t], pol.TierOf(t))
-	}
-	fmt.Println()
-
-	models := make([]core.Handle, ex.Shards())
-	for i := 0; i < ex.Shards(); i++ {
-		sh := ex.Shard(i)
-		sh.K.FS.WriteFile("/srv/model.xml", simcv.EncodeClassifier(150, 4))
-		h, _, err := sh.Ex.Call("cv.CascadeClassifier", framework.Str("/srv/model.xml"))
-		if err != nil || len(h) == 0 {
-			log.Fatalf("shard %d model load: %v", i, err)
-		}
-		models[i] = h[0]
-		// Measure the serving window, not the (identical per shard) boot cost.
-		sh.K.Clock.Reset()
-	}
-
-	reqs := apps.GenDetectionRequests(11, requests)
-	served := 0
-	for i := range reqs {
-		rq := reqs[i]
-		err := ex.Session().Do(func(sh *core.Shard) error {
-			path := fmt.Sprintf("/srv/req-%d.img", i)
-			sh.K.FS.WriteFile(path, rq.Body)
-			img, _, err := sh.Ex.Call("cv.imread", framework.Str(path))
-			if err != nil {
-				return err
-			}
-			if _, _, err := sh.Ex.Call("cv.CascadeClassifier.detectMultiScale",
-				models[sh.ID].Value(), img[0].Value()); err != nil {
-				return err
-			}
-			boxed, _, err := sh.Ex.Call("cv.rectangle", img[0].Value())
-			if err != nil {
-				return err
-			}
-			if _, _, err := sh.Ex.Call("cv.imshow", framework.Str("srv"), boxed[0].Value()); err != nil {
-				return err
-			}
-			_, _, err = sh.Ex.Call("cv.imwrite",
-				framework.Str(fmt.Sprintf("/srv/out-%d.img", i)), boxed[0].Value())
-			return err
-		})
-		if err != nil {
-			fmt.Printf("user %d: request failed (%s)\n", rq.User, short(err))
-			continue
-		}
-		served++
-	}
-
-	cost := ex.Shard(0).K.Cost
-	var sw, cp, cpB, gr, grB uint64
-	for i := 0; i < ex.Shards(); i++ {
-		if rt := ex.Shard(i).Rt; rt != nil {
-			m := rt.Metrics.Snapshot()
-			sw += m.DomainSwitches
-			cp += m.DomainCopies
-			cpB += m.DomainCopyBytes
-			gr += m.DomainGrants
-			grB += m.DomainGrantBytes
-		}
-	}
-	lat := ex.Latencies()
-	crit := ex.CriticalPath()
-	fmt.Printf("served %d/%d requests across %d shards\n", served, len(reqs), ex.Shards())
-	fmt.Printf("virtual latency: p50=%v p95=%v p99=%v; critical path: %v\n",
-		lat.P50(), lat.P95(), lat.P99(), crit)
-	fmt.Println("per-tier mechanism costs:")
-	fmt.Printf("  process: %v IPC round trip + %.2f ns/B marshalled copy + restartable crash\n",
-		cost.IPCRoundTrip, float64(cost.CopyPerBytePS)/1000)
-	fmt.Printf("  domain:  %v WRPKRU-class switch per entry/exit + %.2f ns/B in-space copy, shared host fate\n",
-		cost.DomainSwitch, float64(cost.DomainCopyPerBytePS)/1000)
-	fmt.Printf("  host:    zero cost, zero containment\n")
-	fmt.Printf("domain traffic this run: %d switches, %d copies (%d B), %d read-only grants (%d B)\n",
-		sw, cp, cpB, gr, grB)
-}
-
-// serveDefense runs the adaptive-defense act: a session-sharded detection
-// pool built over core.DynamicShards so re-binds pick up the defense
-// controller's live policy, starting at the cheap erim floor. One attacker
-// tenant lands an imread DoS exploit (the first sighting — at the domain
-// tier the shard's host dies and the pool fails over), then the reconcile
-// barrier arms the signature blocklist, quarantines the tenant, and
-// escalates the hit API type to the process tier. Every later move is a
-// typed front-door rejection: the repeat exploit is attack-blocked, the
-// quarantined tenant's benign traffic is refused at admission, and honest
-// traffic keeps flowing until the clean window anneals the policy back.
-func serveDefense(shards, requests int) {
-	reg := all.Registry()
-	cat := analysis.New(reg, nil).Categorize()
-	floor := isolation.ERIM()
-	var ctl *defense.Controller
-	factory := core.DynamicShards(reg, cat, func() core.Config {
-		p := floor
-		if ctl != nil {
-			p = ctl.Policy()
-		}
-		return core.ConfigForIsolation(p)
-	}, nil)
-	ex, err := core.NewExecutor(shards, factory)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ex.Close()
-	// Tiny windows on purpose: barriers only run between demo waves, and
-	// one wave is more virtual time than either window, so the whole
-	// escalate-quarantine-anneal-release arc fits in one run.
-	ctl = defense.New(ex, defense.Params{
-		Floor:            floor,
-		CleanWindow:      vclock.Duration(10 * time.Microsecond),
-		QuarantineWindow: vclock.Duration(10 * time.Microsecond),
-	})
-	ex.SetAdmissionGate(ctl.Gate())
-	srv, err := apps.ProvisionDetection(ex)
-	if err != nil {
-		log.Fatal(err)
-	}
-	alog := &attack.Log{}
-	arm := func(sh *core.Shard) { ctl.Arm(sh, alog.Handler()) }
-	for i := 0; i < ex.Shards(); i++ {
-		arm(ex.Shard(i))
-	}
-	ex.SetOnReplace(func(sh *core.Shard) error {
-		if err := srv.Reload(sh); err != nil {
-			return err
-		}
-		arm(sh)
-		return nil
-	})
-	fmt.Printf("floor policy %s, defense controller armed on %d shards\n", floor.Name, ex.Shards())
-
-	reqs := apps.GenDetectionRequests(11, requests)
-	wave := func(name string) {
-		results := srv.Serve(reqs)
-		fmt.Printf("%s: served %d/%d requests\n", name, apps.Served(results), len(reqs))
-	}
-	const cveID = "CVE-2017-14136"
-	const attacker = 66
-	byClass := map[string]int{}
-	attackOnce := func(label string) {
-		if err := ctl.Screen(cveID); err != nil {
-			byClass[core.ErrClass(err)]++
-			fmt.Printf("attacker %s: %s\n", label, core.ErrClass(err))
-			return
-		}
-		sess := ex.SessionFor(attacker, 1)
-		defer sess.Finish()
-		shardID, hostDied := -1, false
-		err := sess.Do(func(sh *core.Shard) error {
-			shardID = sh.ID
-			sh.K.FS.WriteFile("/srv/evil.img", attack.DoS(cveID))
-			_, _, callErr := sh.Ex.Call("cv.imread", framework.Str("/srv/evil.img"))
-			if sh.Rt != nil {
-				hostDied = !sh.Rt.Host.Alive()
-				if !hostDied {
-					_ = sh.Rt.RestartDead()
-				}
-			}
-			return callErr
-		})
-		if err != nil {
-			byClass[core.ErrClass(err)]++
-			fmt.Printf("attacker %s: %s\n", label, core.ErrClass(err))
-		} else {
-			fmt.Printf("attacker %s: landed\n", label)
-		}
-		if hostDied && shardID >= 0 {
-			ex.KillShard(shardID, cveID+" killed the host")
-			fmt.Printf("  shard %d host killed by the exploit; next admission fails it over\n", shardID)
-		}
-	}
-	benignOnce := func(label string) {
-		sess := ex.SessionFor(attacker, 1)
-		defer sess.Finish()
-		err := sess.Do(func(sh *core.Shard) error {
-			sh.K.FS.WriteFile("/srv/attacker.img", reqs[0].Body)
-			_, _, err := sh.Ex.Call("cv.imread", framework.Str("/srv/attacker.img"))
-			return err
-		})
-		if err != nil {
-			byClass[core.ErrClass(err)]++
-			fmt.Printf("attacker %s: %s\n", label, core.ErrClass(err))
-		} else {
-			fmt.Printf("attacker %s: served\n", label)
-		}
-	}
-	barrier := func() { ctl.Tick(ex.CriticalPath()) }
-
-	wave("steady wave")
-	barrier()
-	attackOnce("first exploit")
-	barrier()
-	attackOnce("repeat exploit")
-	benignOnce("benign request while quarantined")
-	wave("pressure wave (escalated tiers)")
-	barrier()
-	wave("post-anneal wave")
-	barrier()
-	benignOnce("benign request after release")
-
-	printClassSummary(byClass)
-	st := ctl.Stats()
-	fmt.Printf("sightings %d (%d watchdog), escalations %d, anneals %d, quarantines %d, releases %d, rebinds %d\n",
-		st.Sightings, st.WatchdogTrips, st.Escalations, st.Anneals, st.Quarantines, st.Releases, st.Rebinds)
-	fmt.Printf("policy back at floor: %v\n", ctl.Policy().Equal(ctl.Floor()))
-	fmt.Println("decision log (replayable, byte-equal across runs):")
-	for _, ev := range ctl.Events() {
-		fmt.Printf("  %s\n", ev)
-	}
-}
-
-// printClassSummary prints a per-class failure tally ("failures by class:
-// deadline=12 overloaded=30"), classes sorted for stable output. Classes
-// with a zero count and empty tallies print nothing.
-func printClassSummary(byClass map[string]int) {
-	classes := make([]string, 0, len(byClass))
-	for c := range byClass {
-		if byClass[c] > 0 {
-			classes = append(classes, c)
-		}
-	}
-	if len(classes) == 0 {
-		return
-	}
-	sort.Strings(classes)
-	fmt.Printf("failures by class:")
-	for _, c := range classes {
-		fmt.Printf(" %s=%d", c, byClass[c])
-	}
-	fmt.Println()
-}
-
 func short(err error) string {
 	s := err.Error()
 	if len(s) > 48 {
 		s = s[:48] + "..."
 	}
 	return s
-}
-
-// servePartition runs the partition-plane act: a Zipf-skewed population of
-// returning users served on a range-partitioned keyed data plane with
-// placement memory. Pass one (melt) pins every partition to its home shard,
-// so the Zipf head's range concentrates its mass there and queues; pass two
-// serves the identical stream with a mid-window rebalance drill — split the
-// hot partition at its observed load midpoint, migrate the upper half's
-// live resident sessions to the last shard, revoke the moved range's stale
-// traces — and must change no served byte.
-func servePartition(shards, requests, parts int, skew float64) {
-	visits := requests * 20
-	if visits < 400 {
-		visits = 400
-	}
-	users := visits
-	if parts < shards {
-		parts = shards
-	}
-	topo := sched.Topology{ShardsPerSocket: shards / 2}
-	cost := vclock.Default()
-	stream := apps.GenPartitionVisitsSpaced(5, users, visits, skew, 6*time.Microsecond)
-	keys := make([]uint64, len(stream))
-	for i, v := range stream {
-		keys[i] = v.Key
-	}
-	hot := workload.Hottest(keys, 32)
-
-	run := func(drill bool) ([]apps.PartitionResult, *core.Executor, int, uint64) {
-		meta := partition.New(partition.Range, parts, uint64(users))
-		for i := range meta.Parts {
-			meta.Prefer(i, i%shards)
-		}
-		mem := partition.NewMemory()
-		ex, err := core.NewExecutor(shards, core.DirectShards(all.Registry()))
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ex.Close()
-		sched.New(ex, sched.Policy{MinShards: shards, MaxShards: shards},
-			sched.PartitionAware{Meta: meta, Memory: mem, Topo: topo, SpillThreshold: 4 * len(hot)})
-		srv := apps.NewPartitionServer(ex, apps.PartitionConfig{
-			Meta: meta, Memory: mem, Cost: cost,
-			WorkingSet: 32 << 10, Compute: 2 << 10, Class: "visit",
-		})
-		srv.Resident(hot)
-		moved := 0
-		var splitKey uint64
-		drillAt := -1
-		var hook func()
-		if drill {
-			drillAt = len(stream) / 2
-			hook = func() {
-				hp := hottestPartition(meta)
-				p := meta.Parts[hp]
-				splitKey = observedMedian(stream[:drillAt], p.Lo, p.Hi)
-				_, n, derr := sched.RebalancePartitionAt(ex, meta, mem, topo, cost,
-					hp, splitKey, shards-1, 32<<10)
-				if derr != nil {
-					log.Fatalf("rebalance drill: %v", derr)
-				}
-				moved = n
-			}
-		}
-		results := srv.ServeVisits(stream, drillAt, hook)
-		srv.FinishResident()
-		lat := ex.Latencies()
-		warm, cold := mem.Stats()
-		label := "hot-range melt"
-		if drill {
-			label = "melt + rebalance"
-		}
-		fmt.Printf("%-16s warm %d / cold %d (%.1f%% warm), p50=%v p95=%v p99=%v\n",
-			label, warm, cold, 100*mem.HitRatio(), lat.P50(), lat.P95(), lat.P99())
-		return results, ex, moved, splitKey
-	}
-
-	melt, _, _, _ := run(false)
-	rebal, ex, moved, splitKey := run(true)
-
-	same := len(melt) == len(rebal)
-	for i := 0; same && i < len(melt); i++ {
-		same = melt[i].Key == rebal[i].Key && melt[i].Value == rebal[i].Value &&
-			(melt[i].Err == nil) == (rebal[i].Err == nil)
-	}
-	m := ex.Metrics().Snapshot()
-	fmt.Printf("drill: split hot partition at key %d (observed load midpoint), moved %d live sessions to shard %d, splits recorded %d\n",
-		splitKey, moved, shards-1, m.PartitionSplits)
-	fmt.Printf("served results byte-equal with and without the drill: %v\n", same)
-	if !same {
-		log.Fatal("the rebalance drill changed served results; the drill must be control-plane only")
-	}
-}
-
-// hottestPartition returns the partition with the most recorded sessions.
-func hottestPartition(meta *partition.Meta) int {
-	best, bestN := 0, -1
-	for _, p := range meta.Parts {
-		if p.Sessions > bestN {
-			best, bestN = p.ID, p.Sessions
-		}
-	}
-	return best
-}
-
-// observedMedian returns the smallest key in [lo,hi) with at least half the
-// range's observed visit mass at or below it — the data-median split point a
-// range-sharded store would pick. Falls back to the key midpoint when the
-// range was never visited.
-func observedMedian(visits []apps.PartitionVisit, lo, hi uint64) uint64 {
-	counts := make(map[uint64]int)
-	total := 0
-	for _, v := range visits {
-		if v.Key >= lo && v.Key < hi {
-			counts[v.Key]++
-			total++
-		}
-	}
-	if total == 0 {
-		return lo + (hi-lo)/2
-	}
-	acc := 0
-	for k := lo; k < hi; k++ {
-		acc += counts[k]
-		if acc*2 >= total {
-			if k+1 >= hi {
-				return lo + (hi-lo)/2
-			}
-			return k + 1
-		}
-	}
-	return lo + (hi-lo)/2
 }

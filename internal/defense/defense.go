@@ -451,7 +451,7 @@ func (c *Controller) Tick(now vclock.Duration) {
 	c.dirty = false
 	var desc string
 	if dirty {
-		desc = policyDesc(c.cur)
+		desc = c.cur.Describe()
 	}
 	n := 0
 	if c.ex != nil {
@@ -476,15 +476,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 		}
 		c.mu.Unlock()
 	}
-}
-
-// policyDesc renders a policy's tier assignment in ConcreteTypes order.
-func policyDesc(p *isolation.Policy) string {
-	parts := make([]string, 0, 4)
-	for _, t := range framework.ConcreteTypes() {
-		parts = append(parts, fmt.Sprintf("%s=%s", t.Long(), p.TierOf(t)))
-	}
-	return strings.Join(parts, ",")
 }
 
 // Events returns a copy of the decision log.

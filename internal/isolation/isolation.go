@@ -10,6 +10,7 @@ package isolation
 
 import (
 	"sort"
+	"strings"
 
 	"freepart.dev/freepart/internal/framework"
 )
@@ -134,6 +135,17 @@ func (p *Policy) Equal(q *Policy) bool {
 		}
 	}
 	return true
+}
+
+// Describe renders the tier assignment in ConcreteTypes order
+// ("Data Loading=process,Data Processing=domain,..."): the form the defense
+// decision log and the defense bench's final_policy column print.
+func (p *Policy) Describe() string {
+	parts := make([]string, 0, len(framework.ConcreteTypes()))
+	for _, t := range framework.ConcreteTypes() {
+		parts = append(parts, t.Long()+"="+p.TierOf(t).String())
+	}
+	return strings.Join(parts, ",")
 }
 
 // uniform builds a policy assigning one tier to every concrete API type.

@@ -143,3 +143,23 @@ func TestByNameAndNames(t *testing.T) {
 		t.Fatalf("Names() = %v, want %v (sorted)", got, want)
 	}
 }
+
+// TestDescribe pins the rendered tier assignment: ConcreteTypes order,
+// long type names, comma-joined, absent types reading as process.
+func TestDescribe(t *testing.T) {
+	cases := []struct {
+		p    *Policy
+		want string
+	}{
+		{Paper(), "Data Loading=process,Data Processing=process,Visualizing=process,Storing=process"},
+		{Tiered(), "Data Loading=process,Data Processing=process,Visualizing=domain,Storing=domain"},
+		{None(), "Data Loading=host,Data Processing=host,Visualizing=host,Storing=host"},
+		{ERIM().WithTier(framework.TypeLoading, TierProcess), "Data Loading=process,Data Processing=domain,Visualizing=domain,Storing=domain"},
+		{nil, "Data Loading=process,Data Processing=process,Visualizing=process,Storing=process"},
+	}
+	for _, c := range cases {
+		if got := c.p.Describe(); got != c.want {
+			t.Errorf("Describe() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -174,13 +172,20 @@ func servedSteps(results []apps.TrackResult) int {
 	return n
 }
 
-// TableAutoscale renders the autoscaling experiment and optionally writes
-// the rows as JSON to jsonPath (the BENCH_autoscale.json artifact).
+// TableAutoscale runs the autoscaling drill (2..8 shards, 4 base and 18
+// burst streams of 224 steps) and renders it, optionally writing the rows
+// as JSON to jsonPath (the BENCH_autoscale.json artifact).
 func TableAutoscale(jsonPath string) (string, error) {
 	results, err := MeasureAutoscale(2, 8, 4, 18, 224)
 	if err != nil {
 		return "", err
 	}
+	return RenderAutoscale(results).emit(results, jsonPath)
+}
+
+// RenderAutoscale lays out autoscale rows: tail latency and shard-seconds
+// against the fixed n=max pool, plus the control-plane activity.
+func RenderAutoscale(results []AutoscaleResult) Tables {
 	t := &Table{
 		Title:  "Autoscaling: stateful tracking under a load ramp (burst joins mid-run, leaves early; virtual time)",
 		Header: []string{"Scenario", "Peak", "Served", "p50", "p95", "p99", "p99/max", "Shard-sec", "Cost/max", "Up/Down/Rebal", "Batches"},
@@ -197,20 +202,5 @@ func TableAutoscale(jsonPath string) (string, error) {
 		"Shard-seconds integrate pool size over the virtual timeline — latency parity at a lower integral is the win.",
 		"The autoscaled rows grow on queue-wait pressure as the burst joins and shrink (drain + migrate, no corpse) after it leaves.",
 		"+locality maps shards onto 2-shard sockets; cross-socket migrations pay the interconnect cost model.")
-	if jsonPath != "" {
-		if err := WriteAutoscaleJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteAutoscaleJSON writes autoscale results as indented JSON.
-func WriteAutoscaleJSON(path string, results []AutoscaleResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

@@ -1,9 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -100,28 +97,5 @@ func TestAutoscaleMeetsFixedPoolTail(t *testing.T) {
 	}
 	if auto.ControlEvents == 0 {
 		t.Fatal("controller recorded no events")
-	}
-}
-
-// TestWriteAutoscaleJSON checks the benchmark artifact round-trips.
-func TestWriteAutoscaleJSON(t *testing.T) {
-	results, err := MeasureAutoscale(1, 2, 2, 2, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_autoscale.json")
-	if err := WriteAutoscaleJSON(path, results); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []AutoscaleResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if !reflect.DeepEqual(back, results) {
-		t.Fatalf("artifact did not round-trip:\n%+v\nvs\n%+v", back, results)
 	}
 }

@@ -1,10 +1,8 @@
 package report
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"freepart.dev/freepart/internal/apps"
@@ -447,29 +445,16 @@ func runDefenseCampaign(shards, requests int, pol *isolation.Policy, adaptive bo
 		res.Quarantines = st.Quarantines
 		res.Releases = st.Releases
 		res.Rebinds = st.Rebinds
-		res.FinalPolicy = describePolicy(ctl.Policy())
+		res.FinalPolicy = ctl.Policy().Describe()
 		res.AtFloor = ctl.Policy().Equal(ctl.Floor())
 		for _, e := range ctl.Events() {
 			res.DefenseEvents = append(res.DefenseEvents, e.String())
 		}
 	} else {
-		res.FinalPolicy = describePolicy(pol)
+		res.FinalPolicy = pol.Describe()
 		res.AtFloor = true
 	}
 	return res, nil
-}
-
-// describePolicy renders a policy's tier assignment in ConcreteTypes
-// order ("loading=process,processing=process,...").
-func describePolicy(p *isolation.Policy) string {
-	s := ""
-	for i, t := range framework.ConcreteTypes() {
-		if i > 0 {
-			s += ","
-		}
-		s += fmt.Sprintf("%s=%s", t.Long(), p.TierOf(t))
-	}
-	return s
 }
 
 // MeasureDefense runs the campaign over every static preset and the
@@ -506,13 +491,21 @@ func MeasureDefense(shards, requests int) ([]DefenseResult, error) {
 	return out, nil
 }
 
-// TableDefense renders the campaign and optionally writes the rows as
-// JSON to jsonPath (the BENCH_defense.json artifact).
+// TableDefense runs the campaign on 4 shards with 64-request waves and
+// renders it, optionally writing the rows as JSON to jsonPath (the
+// BENCH_defense.json artifact).
 func TableDefense(jsonPath string) (string, error) {
 	results, err := MeasureDefense(4, 64)
 	if err != nil {
 		return "", err
 	}
+	return RenderDefense(results).emit(results, jsonPath)
+}
+
+// RenderDefense lays out campaign rows — containment per wave, front-door
+// and admission rejections, steady-state overhead — and, when an adaptive
+// row is present, its replayable decision log.
+func RenderDefense(results []DefenseResult) Tables {
 	t := &Table{
 		Title: "Adaptive defense campaign: probe wave, 18-CVE main wave, steady-state cost (virtual time)",
 		Header: []string{"Policy", "Probe", "Main blocked", "Screened", "Gated", "Offender rejected",
@@ -536,42 +529,23 @@ func TableDefense(jsonPath string) (string, error) {
 		"  shard re-binds through the failover machinery.",
 		"Steady overhead prices the final wave after annealing: the adaptive row is back at its floor",
 		"  (near-erim cost) while static paper-level containment keeps paying process-tier IPC.")
-	if jsonPath != "" {
-		if err := WriteDefenseJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
 
-	var adaptiveRow *DefenseResult
-	for i := range results {
-		if results[i].Adaptive {
-			adaptiveRow = &results[i]
+	tables := Tables{t}
+	for _, r := range results {
+		if !r.Adaptive {
+			continue
 		}
-	}
-	s := t.String()
-	if adaptiveRow != nil {
 		st := &Table{
 			Title:  "Adaptive controller decision log (replayable; one line per event)",
 			Header: []string{"Event"},
 		}
-		for _, line := range adaptiveRow.DefenseEvents {
+		for _, line := range r.DefenseEvents {
 			st.Add(line)
 		}
 		st.Notes = append(st.Notes,
 			fmt.Sprintf("sightings %d, escalations %d, anneals %d, quarantines %d, releases %d, rebinds %d; final policy %s",
-				adaptiveRow.Sightings, adaptiveRow.Escalations, adaptiveRow.Anneals,
-				adaptiveRow.Quarantines, adaptiveRow.Releases, adaptiveRow.Rebinds, adaptiveRow.FinalPolicy))
-		s += "\n" + st.String()
+				r.Sightings, r.Escalations, r.Anneals, r.Quarantines, r.Releases, r.Rebinds, r.FinalPolicy))
+		tables = append(tables, st)
 	}
-	return s, nil
-}
-
-// WriteDefenseJSON writes campaign rows as indented JSON.
-func WriteDefenseJSON(path string, results []DefenseResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return tables
 }

@@ -1,10 +1,7 @@
 package report
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"freepart.dev/freepart/internal/analysis"
@@ -128,23 +125,6 @@ func TestMeasureDefense(t *testing.T) {
 		}
 		if r.Sightings != 0 || r.Rebinds != 0 || r.Screened != 0 {
 			t.Errorf("static row %s shows controller activity: %+v", r.Policy, r)
-		}
-	}
-}
-
-func TestWriteDefenseJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_defense.json")
-	rows := []DefenseResult{{Policy: "adaptive", Adaptive: true, Blocked: 18, Total: 18}}
-	if err := WriteDefenseJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"policy": "adaptive"`, `"blocked": 18`} {
-		if !strings.Contains(string(b), want) {
-			t.Fatalf("JSON missing %q:\n%s", want, b)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -112,15 +110,23 @@ func MeasureFailover(shards, requests, killShard int) ([]FailoverResult, error) 
 	return []FailoverResult{base, killed}, nil
 }
 
-// TableFailover renders the shard-failover experiment and optionally writes
-// the rows as JSON to jsonPath (the BENCH_failover.json artifact).
+// TableFailover runs the failover drill on 4 shards with shard 2 killed
+// and renders it, optionally writing the rows as JSON to jsonPath (the
+// BENCH_failover.json artifact).
 func TableFailover(requests int, jsonPath string) (string, error) {
 	results, err := MeasureFailover(4, requests, 2)
 	if err != nil {
 		return "", err
 	}
+	return RenderFailover(results).emit(results, jsonPath)
+}
+
+// RenderFailover lays out MeasureFailover's rows: the baseline and the
+// killed run side by side, with the p99 the failover added and the
+// drain/migration counts.
+func RenderFailover(results []FailoverResult) Tables {
 	t := &Table{
-		Title:  "Failover: detection serving with one shard killed mid-stream (4 shards, virtual time)",
+		Title:  fmt.Sprintf("Failover: detection serving with one shard killed mid-stream (%d shards, virtual time)", results[0].Shards),
 		Header: []string{"Scenario", "Served", "RPS", "p50", "p95", "p99", "Added p99", "Critical path", "Drains", "Migrations"},
 	}
 	for _, r := range results {
@@ -132,20 +138,5 @@ func TableFailover(requests int, jsonPath string) (string, error) {
 		"The kill fires halfway through the victim shard's baseline serving window.",
 		"Sessions on the dead shard migrate to a replacement via the portable checkpoint store; every request is still served.",
 		"Added p99 is the failover's tail-latency cost: re-run invocations keep their original arrival stamp.")
-	if jsonPath != "" {
-		if err := WriteFailoverJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteFailoverJSON writes failover results as indented JSON.
-func WriteFailoverJSON(path string, results []FailoverResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -203,16 +201,24 @@ func MeasureGray(shards, requests, slowShard int, factor float64) ([]GrayResult,
 	return rows, nil
 }
 
-// TableGray renders the gray-failure experiment — 4 shards, slot 2 alive
-// but 10x slow — and optionally writes the rows as JSON to jsonPath (the
-// BENCH_gray.json artifact).
+// TableGray runs the gray-failure drill — 4 shards, slot 2 alive but 10x
+// slow — and renders it, optionally writing the rows as JSON to jsonPath
+// (the BENCH_gray.json artifact).
 func TableGray(requests int, jsonPath string) (string, error) {
 	results, err := MeasureGray(4, requests, 2, 10)
 	if err != nil {
 		return "", err
 	}
+	return RenderGray(results).emit(results, jsonPath)
+}
+
+// RenderGray lays out MeasureGray's rows (fault-free first, a degraded row
+// last): the p99 each mitigation level leaves, the gray drains, and the
+// hedge races with their extra work.
+func RenderGray(results []GrayResult) Tables {
 	t := &Table{
-		Title:  "Gray failure: detection serving with one shard alive but 10x slow (4 shards, virtual time)",
+		Title: fmt.Sprintf("Gray failure: detection serving with one shard alive but %gx slow (%d shards, virtual time)",
+			results[len(results)-1].Factor, results[0].Shards),
 		Header: []string{"Scenario", "Served", "RPS", "p50", "p95", "p99", "Added p99", "Gray drains", "Hedges", "W/C", "Extra work"},
 	}
 	for _, r := range results {
@@ -227,20 +233,5 @@ func TableGray(requests int, jsonPath string) (string, error) {
 		"The scorer's baseline and the hedge delay are calibrated from the fault-free run — no oracle knowledge of the slow slot.",
 		"Drain alone pays the detection window in the tail; hedging covers that window, at the reported extra-work fraction.",
 		"Hedge races resolve in virtual time; ties go to the lower shard id, so every run replays byte-equal.")
-	if jsonPath != "" {
-		if err := WriteGrayJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteGrayJSON writes gray-failure results as indented JSON.
-func WriteGrayJSON(path string, results []GrayResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

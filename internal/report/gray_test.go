@@ -1,9 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -96,28 +93,5 @@ func TestMeasureGrayRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := MeasureGray(4, 16, 2, 1); err == nil {
 		t.Fatal("factor <= 1 accepted")
-	}
-}
-
-// TestWriteGrayJSON checks the benchmark artifact round-trips.
-func TestWriteGrayJSON(t *testing.T) {
-	rows, err := MeasureGray(4, 16, 2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_gray.json")
-	if err := WriteGrayJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []GrayResult
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rows) {
-		t.Fatalf("JSON round-trip diverged:\n%+v\nvs\n%+v", back, rows)
 	}
 }

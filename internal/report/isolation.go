@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -372,13 +370,21 @@ func isolationServing(reg *framework.Registry, cat *analysis.Categorization, pol
 	return ex.CriticalPath(), switches, copies, nil
 }
 
-// TableIsolation renders the frontier and optionally writes the rows as
-// JSON to jsonPath (the BENCH_isolation.json artifact).
+// TableIsolation runs the frontier on 4 shards with 64 requests and renders
+// it, optionally writing the rows as JSON to jsonPath (the
+// BENCH_isolation.json artifact).
 func TableIsolation(jsonPath string) (string, error) {
 	results, err := MeasureIsolation(4, 64)
 	if err != nil {
 		return "", err
 	}
+	return RenderIsolation(4, 64, results).emit(results, jsonPath)
+}
+
+// RenderIsolation lays out frontier rows whose serving probe ran on shards
+// shards with requests requests: the blocked/detected counts and overhead
+// per policy, then the per-CVE blocked matrix with one column per row.
+func RenderIsolation(shards, requests int, results []IsolationResult) Tables {
 	t := &Table{
 		Title:  "Isolation tiers: blocked CVEs vs serving overhead (18 live exploits, virtual time)",
 		Header: []string{"Policy", "Blocked", "Detected", "Critical path", "Overhead vs none", "Domain switches", "Domain copies"},
@@ -393,14 +399,8 @@ func TableIsolation(jsonPath string) (string, error) {
 		"Detected adds the resource watchdog: a blocked attack is a detection, and a host-killing DoS that",
 		"  escapes a non-process tier (e.g. the imshow DoS under the tiered preset) now trips the watchdog",
 		"  instead of vanishing silently — raw material for the adaptive defense controller.",
-		"Overhead is the serving critical path (4 shards, 64 full-pipeline requests) vs the in-host baseline.",
+		fmt.Sprintf("Overhead is the serving critical path (%d shards, %d full-pipeline requests) vs the in-host baseline.", shards, requests),
 		"The domain tier blocks cross-domain reads/writes but shares the host's fate: DoS and mprotect-based RCE pass.")
-	if jsonPath != "" {
-		if err := WriteIsolationJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
 
 	m := &Table{
 		Title:  "Blocked-CVE matrix (rows: CVE; columns: policy)",
@@ -422,14 +422,5 @@ func TableIsolation(jsonPath string) (string, error) {
 			m.Add(row...)
 		}
 	}
-	return t.String() + "\n" + m.String(), nil
-}
-
-// WriteIsolationJSON writes frontier rows as indented JSON.
-func WriteIsolationJSON(path string, results []IsolationResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t, m}
 }

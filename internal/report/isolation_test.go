@@ -1,9 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -88,28 +85,5 @@ func TestMeasureIsolationDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("isolation measurement not deterministic:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestWriteIsolationJSON round-trips the benchmark artifact.
-func TestWriteIsolationJSON(t *testing.T) {
-	rows := []IsolationResult{{Policy: "paper", Blocked: 18, Total: 18, OverheadPct: 29.4}}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteIsolationJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []IsolationResult
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("round trip = %+v, want %+v", got, rows)
-	}
-	if data[len(data)-1] != '\n' {
-		t.Fatal("artifact should end with a newline")
 	}
 }

@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
@@ -245,43 +243,41 @@ func jainIndex(xs []float64) float64 {
 	return sum * sum / (float64(n) * sq)
 }
 
-// TableOverload renders the overload drill and optionally writes the rows
-// as JSON to jsonPath (the BENCH_overload.json artifact).
+// TableOverload runs the overload drill (4 shards, 16 heavy / 4 light
+// streams of 96 steps at 1/2/4/10x capacity) and renders it, optionally
+// writing the rows as JSON to jsonPath (the BENCH_overload.json artifact).
 func TableOverload(jsonPath string) (string, error) {
 	results, err := MeasureOverload(4, 16, 4, 96, []int{1, 2, 4, 10})
 	if err != nil {
 		return "", err
 	}
+	return RenderOverload(4, 16, 4, results).emit(results, jsonPath)
+}
+
+// RenderOverload lays out overload rows measured on a shards-wide pool with
+// heavy and light tenant streams: goodput, the shed split, the light
+// tenant's share and Jain fairness, and the admitted-request tail.
+func RenderOverload(shards, heavy, light int, results []OverloadResult) Tables {
 	t := &Table{
-		Title:  "Overload: bounded admission + deadline shedding, FIFO vs weighted fair queueing (4 shards, 16 heavy / 4 light streams)",
+		Title: fmt.Sprintf("Overload: bounded admission + deadline shedding, FIFO vs weighted fair queueing (%d shards, %d heavy / %d light streams)",
+			shards, heavy, light),
 		Header: []string{"Scenario", "Offered", "Goodput", "Shed", "Shed%", "Light%", "Jain", "p50", "p99", "p99/1x"},
 	}
 	for _, r := range results {
+		vs1x := "-" // no 1x row to normalize against
+		if r.P99Vs1x > 0 {
+			vs1x = f2(r.P99Vs1x)
+		}
 		t.Add(r.Scenario, d(r.Offered), d(r.Admitted),
 			fmt.Sprintf("%d+%d", r.Rejected, r.DeadlineShed),
 			fmt.Sprintf("%.1f%%", 100*r.ShedRate),
 			fmt.Sprintf("%.1f%%", 100*r.LightShare),
-			f2(r.Jain), r.P50.String(), r.P99.String(), f2(r.P99Vs1x))
+			f2(r.Jain), r.P50.String(), r.P99.String(), vs1x)
 	}
 	t.Notes = append(t.Notes,
 		"Offered load is a multiple of calibrated capacity; the heavy tenant offers 4x the light tenant's rate at equal weight.",
 		"Shed column splits queue-bound rejections + deadline drops; both leave zero checkpoint entries (exactly-once preserved).",
 		"Jain's index is over per-tenant weighted goodput: 1.00 = each tenant's goodput proportional to its weight.",
 		"The queue bound caps admitted-request latency at any factor - overload turns into sheds, not p99 melt.")
-	if jsonPath != "" {
-		if err := WriteOverloadJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteOverloadJSON writes overload results as indented JSON.
-func WriteOverloadJSON(path string, results []OverloadResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

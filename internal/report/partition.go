@@ -1,9 +1,7 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -168,9 +166,10 @@ func hottestPart(meta *partition.Meta) int {
 //     keys, so a returning user still lands on an arbitrary shard;
 //   - "partition-aware": hash partition metadata with load-packed preferred
 //     slots plus the placement memory, so returning users land warm;
-//   - "hot-range melt": a naive static range assignment (partition i on
-//     shard i) that funnels the Zipf head onto shard 0, with the hottest
-//     keys held by long-lived resident sessions;
+//   - "hot-range melt": a naive static range assignment (parts range
+//     partitions, partition i preferring shard i%shards) that funnels the
+//     Zipf head onto shard 0, with the hottest keys held by long-lived
+//     resident sessions;
 //   - "melt + rebalance": the same melt, with a mid-window drill that
 //     splits the hot range at its observed load median, migrates the moved
 //     range's live residents to the idle socket through the checkpoint
@@ -181,9 +180,12 @@ func hottestPart(meta *partition.Meta) int {
 // Serving is strictly sequential, so every row replays byte-equal, and the
 // drill row's served values are verified byte-equal against the no-drill
 // melt row.
-func MeasurePartition(shards, users, visits int, skew float64) ([]PartitionResult, error) {
+func MeasurePartition(shards, parts, users, visits int, skew float64) ([]PartitionResult, error) {
 	if shards < 2 || shards%2 != 0 {
 		return nil, fmt.Errorf("report: partition experiment needs an even shard count >= 2, got %d", shards)
+	}
+	if parts < 1 {
+		return nil, fmt.Errorf("report: partition experiment needs at least 1 range partition, got %d", parts)
 	}
 	if users <= 0 || visits <= 0 {
 		return nil, fmt.Errorf("report: partition experiment needs users and visits > 0")
@@ -270,13 +272,13 @@ func MeasurePartition(shards, users, visits int, skew float64) ([]PartitionResul
 	}
 
 	// Melt arc: a naive static range assignment (partition i preferred onto
-	// shard i) funnels the Zipf head — almost all of the stream — onto
-	// shard 0. The spill guard is opened wide so the misconfiguration
+	// shard i%shards) funnels the Zipf head — almost all of the stream —
+	// onto shard 0. The spill guard is opened wide so the misconfiguration
 	// stands (the guard catching it is the defense, not the experiment).
 	meltMeta := func() *partition.Meta {
-		m := partition.New(partition.Range, shards, uint64(users))
-		for i := 0; i < shards; i++ {
-			m.Prefer(i, i)
+		m := partition.New(partition.Range, parts, uint64(users))
+		for i := 0; i < parts; i++ {
+			m.Prefer(i, i%shards)
 		}
 		return m
 	}
@@ -329,16 +331,23 @@ func MeasurePartition(shards, users, visits int, skew float64) ([]PartitionResul
 	return []PartitionResult{rr.row, loc.row, aware.row, melt.row, rebal.row}, nil
 }
 
-// TablePartition renders the partition experiment — 8 shards across 2
-// sockets, 12k visits over 30k users at Zipf 1.1 — and optionally writes
-// the rows as JSON to jsonPath (the BENCH_partition.json artifact).
+// TablePartition runs the partition experiment — 8 shards across 2
+// sockets, 8 range partitions, 12k visits over 30k users at Zipf 1.1 — and
+// renders it, optionally writing the rows as JSON to jsonPath (the
+// BENCH_partition.json artifact).
 func TablePartition(jsonPath string) (string, error) {
-	results, err := MeasurePartition(8, 30000, 12000, 1.1)
+	results, err := MeasurePartition(8, 8, 30000, 12000, 1.1)
 	if err != nil {
 		return "", err
 	}
+	return RenderPartition(results).emit(results, jsonPath)
+}
+
+// RenderPartition lays out MeasurePartition's rows: warm/cold landings, the
+// latency each placement regime yields, and what the rebalance drill moved.
+func RenderPartition(results []PartitionResult) Tables {
 	t := &Table{
-		Title:  "Partition-aware placement: Zipf visit stream, 8 shards / 2 sockets (virtual time)",
+		Title:  fmt.Sprintf("Partition-aware placement: Zipf visit stream, %d shards / 2 sockets (virtual time)", results[0].Shards),
 		Header: []string{"Scenario", "Served", "Warm", "Cold", "Warm%", "p50", "p95", "p99", "RPS", "Moved", "Split@"},
 	}
 	for _, r := range results {
@@ -354,20 +363,5 @@ func TablePartition(jsonPath string) (string, error) {
 		"Locality sees session ids, not keys: one-shot churn leaves its open-session load signal blind, so it concentrates on one shard per socket.",
 		"The melt rows statically prefer range partition i onto shard i; the Zipf head funnels onto shard 0 until the drill splits the hot range at its observed load median.",
 		"The drill migrates the moved range's live resident sessions through the checkpoint log and revokes stale placement traces; served values are byte-equal with or without it.")
-	if jsonPath != "" {
-		if err := WritePartitionJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WritePartitionJSON writes partition experiment results as indented JSON.
-func WritePartitionJSON(path string, results []PartitionResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

@@ -1,9 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -15,7 +12,7 @@ import (
 // tail up; the mid-window rebalance drill sheds it — without changing a
 // single served byte.
 func TestPartitionFrontier(t *testing.T) {
-	rows, err := MeasurePartition(4, 2000, 1500, 1.2)
+	rows, err := MeasurePartition(4, 4, 2000, 1500, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +71,11 @@ func TestPartitionFrontier(t *testing.T) {
 // byte-equal rows: placement, drill, and accounting are pure functions of
 // the configuration.
 func TestPartitionDeterminism(t *testing.T) {
-	a, err := MeasurePartition(4, 1000, 600, 1.2)
+	a, err := MeasurePartition(4, 4, 1000, 600, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasurePartition(4, 1000, 600, 1.2)
+	b, err := MeasurePartition(4, 4, 1000, 600, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,42 +86,16 @@ func TestPartitionDeterminism(t *testing.T) {
 
 // TestPartitionRejectsBadConfig covers the argument guards.
 func TestPartitionRejectsBadConfig(t *testing.T) {
-	if _, err := MeasurePartition(3, 100, 100, 1.2); err == nil {
+	if _, err := MeasurePartition(3, 3, 100, 100, 1.2); err == nil {
 		t.Fatal("odd shard count must be rejected")
 	}
-	if _, err := MeasurePartition(4, 0, 100, 1.2); err == nil {
+	if _, err := MeasurePartition(4, 4, 0, 100, 1.2); err == nil {
 		t.Fatal("zero users must be rejected")
 	}
-	if _, err := MeasurePartition(4, 100, 0, 1.2); err == nil {
+	if _, err := MeasurePartition(4, 4, 100, 0, 1.2); err == nil {
 		t.Fatal("zero visits must be rejected")
 	}
-}
-
-// TestWritePartitionJSON round-trips rows through the artifact file.
-func TestWritePartitionJSON(t *testing.T) {
-	rows, err := MeasurePartition(4, 500, 300, 1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_partition.json")
-	if err := WritePartitionJSON(path, rows); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []PartitionResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("round-trip lost rows: %d vs %d", len(back), len(rows))
-	}
-	for i := range rows {
-		if back[i].Scenario != rows[i].Scenario || back[i].P99 != rows[i].P99 ||
-			back[i].WarmHits != rows[i].WarmHits {
-			t.Fatalf("row %d diverged through JSON: %+v vs %+v", i, back[i], rows[i])
-		}
+	if _, err := MeasurePartition(4, 0, 100, 100, 1.2); err == nil {
+		t.Fatal("zero range partitions must be rejected")
 	}
 }

@@ -2,10 +2,17 @@
 // evaluation from the simulation, rendering them in the paper's row/column
 // shape. Each Table*/Fig* function runs its experiment and returns the
 // formatted result; cmd/experiments and the benchmark harness drive them.
+//
+// The serving drills split into Measure* (run the drill, return rows) and
+// Render* (lay the rows out as tables). Table* runs a drill at the bench
+// constants; examples/server runs the same drill at its flag values and
+// prints the same Render* output.
 package report
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 )
 
@@ -62,6 +69,42 @@ func (t *Table) String() string {
 		fmt.Fprintf(&b, "  %s\n", n)
 	}
 	return b.String()
+}
+
+// Tables is a drill's rendering: one or more tables printed one blank line
+// apart.
+type Tables []*Table
+
+// String renders every table, separated by a blank line.
+func (ts Tables) String() string {
+	parts := make([]string, len(ts))
+	for i, t := range ts {
+		parts[i] = t.String()
+	}
+	return strings.Join(parts, "\n")
+}
+
+// emit renders a bench drill's tables. With a non-empty jsonPath it first
+// writes rows there as the drill's BENCH_*.json artifact and notes the path
+// under the first table.
+func (ts Tables) emit(rows any, jsonPath string) (string, error) {
+	if jsonPath != "" {
+		if err := WriteJSON(jsonPath, rows); err != nil {
+			return "", err
+		}
+		ts[0].Notes = append(ts[0].Notes, fmt.Sprintf("rows written to %s", jsonPath))
+	}
+	return ts.String(), nil
+}
+
+// WriteJSON writes a drill's rows as indented JSON with a trailing newline
+// (the committed BENCH_*.json format).
+func WriteJSON(path string, rows any) error {
+	b, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // Series renders a labelled numeric series (our figures are ASCII charts).

@@ -1,10 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/apps"
 	"freepart.dev/freepart/internal/core"
@@ -99,13 +95,20 @@ func MeasureServing(shardCounts []int, requests int) ([]ServingResult, error) {
 	return out, nil
 }
 
-// TableServing renders the serving scaling experiment and optionally writes
-// the rows as JSON to jsonPath (the BENCH_serving.json artifact).
+// TableServing runs the serving experiment at 1/2/4/8 shards and renders
+// it, optionally writing the rows as JSON to jsonPath (the
+// BENCH_serving.json artifact).
 func TableServing(requests int, jsonPath string) (string, error) {
 	results, err := MeasureServing([]int{1, 2, 4, 8}, requests)
 	if err != nil {
 		return "", err
 	}
+	return RenderServing(results).emit(results, jsonPath)
+}
+
+// RenderServing lays out serving rows: throughput, speedup, percentiles and
+// the effective parallelism of each shard count.
+func RenderServing(results []ServingResult) Tables {
 	t := &Table{
 		Title:  "Serving: session-sharded executor scaling (detection pipeline, virtual time)",
 		Header: []string{"Shards", "Requests", "Served", "RPS", "Speedup", "p50", "p95", "p99", "Critical path", "Parallelism"},
@@ -121,20 +124,5 @@ func TableServing(requests int, jsonPath string) (string, error) {
 	t.Notes = append(t.Notes,
 		"RPS is requests per virtual second: requests / max-merged shard clock (critical path).",
 		"Parallelism is total shard work / critical path; ideal equals the shard count.")
-	if jsonPath != "" {
-		if err := WriteServingJSON(jsonPath, results); err != nil {
-			return "", err
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("rows written to %s", jsonPath))
-	}
-	return t.String(), nil
-}
-
-// WriteServingJSON writes serving results as indented JSON.
-func WriteServingJSON(path string, results []ServingResult) error {
-	b, err := json.MarshalIndent(results, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return Tables{t}
 }

@@ -1,9 +1,6 @@
 package report
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -49,28 +46,5 @@ func TestServingDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("serving results diverged between identical runs:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestWriteServingJSON checks the benchmark artifact round-trips.
-func TestWriteServingJSON(t *testing.T) {
-	results, err := MeasureServing([]int{1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_serving.json")
-	if err := WriteServingJSON(path, results); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []ServingResult
-	if err := json.Unmarshal(raw, &back); err != nil {
-		t.Fatalf("artifact is not valid JSON: %v", err)
-	}
-	if !reflect.DeepEqual(back, results) {
-		t.Fatalf("artifact did not round-trip:\n%+v\nvs\n%+v", back, results)
 	}
 }

@@ -3,7 +3,7 @@ package vclock
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -13,6 +13,9 @@ import (
 type Latencies struct {
 	mu      sync.Mutex
 	samples []Duration
+	// dirty marks samples appended since the last in-place sort; the
+	// first percentile read after an Add sorts, later reads reuse it.
+	dirty bool
 }
 
 // Add records one latency sample. Negative samples are clamped to zero
@@ -24,6 +27,7 @@ func (l *Latencies) Add(d Duration) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.samples = append(l.samples, d)
+	l.dirty = true
 }
 
 // Len returns the number of recorded samples.
@@ -33,20 +37,16 @@ func (l *Latencies) Len() int {
 	return len(l.samples)
 }
 
-// sorted returns a sorted copy of the samples.
-func (l *Latencies) sorted() []Duration {
-	l.mu.Lock()
-	out := make([]Duration, len(l.samples))
-	copy(out, l.samples)
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Percentile returns the nearest-rank percentile p in [0, 100]. Zero
 // samples read as zero.
 func (l *Latencies) Percentile(p float64) Duration {
-	s := l.sorted()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dirty {
+		slices.Sort(l.samples)
+		l.dirty = false
+	}
+	s := l.samples
 	if len(s) == 0 {
 		return 0
 	}

@@ -1,6 +1,11 @@
 package vclock
 
-import "testing"
+import (
+	"math"
+	"sort"
+	"sync"
+	"testing"
+)
 
 // TestPercentileEmpty pins the zero-sample convention: every percentile of
 // an empty distribution reads zero, not a panic or a sentinel.
@@ -126,5 +131,69 @@ func TestAddClampsNegative(t *testing.T) {
 	l.Add(10)
 	if got := l.Percentile(0); got != 0 {
 		t.Fatalf("min after negative Add = %v, want 0", got)
+	}
+}
+
+// TestPercentileInterleavedAdds interleaves Adds with percentile reads, so
+// reads hit both a freshly appended (unsorted) tail and an already sorted
+// sample, and checks every answer against a freshly sorted copy.
+func TestPercentileInterleavedAdds(t *testing.T) {
+	var l Latencies
+	var all []Duration
+	for i := 0; i < 200; i++ {
+		// A scrambled, duplicate-heavy sequence: descending runs with
+		// repeats, so appends land out of order after every sort.
+		d := Duration((i*7919)%97) * 10
+		l.Add(d)
+		all = append(all, d)
+		if i%3 != 0 {
+			continue
+		}
+		ref := append([]Duration(nil), all...)
+		sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+		for _, p := range []float64{0, 1, 25, 50, 90, 95, 99, 100} {
+			rank := int(math.Ceil(p / 100 * float64(len(ref))))
+			if rank < 1 {
+				rank = 1
+			}
+			want := ref[rank-1]
+			if got := l.Percentile(p); got != want {
+				t.Fatalf("after %d adds: Percentile(%v) = %v, want %v", len(all), p, got, want)
+			}
+		}
+		if l.Len() != len(all) {
+			t.Fatalf("Len = %d, want %d", l.Len(), len(all))
+		}
+	}
+}
+
+// TestPercentileConcurrent reads percentiles while other goroutines Add,
+// so the in-place sort races appends unless both hold the mutex; the final
+// answers must match a freshly sorted copy of everything added.
+func TestPercentileConcurrent(t *testing.T) {
+	var l Latencies
+	const writers, perWriter = 4, 250
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				l.Add(Duration((w*perWriter + i) * 7 % 1000))
+				_ = l.P99()
+			}
+		}(w)
+	}
+	wg.Wait()
+	ref := make([]Duration, 0, writers*perWriter)
+	for n := 0; n < writers*perWriter; n++ {
+		ref = append(ref, Duration(n*7%1000))
+	}
+	sort.Slice(ref, func(a, b int) bool { return ref[a] < ref[b] })
+	for _, p := range []float64{0, 50, 95, 99, 100} {
+		rank := max(int(math.Ceil(p/100*float64(len(ref)))), 1)
+		if got, want := l.Percentile(p), ref[rank-1]; got != want {
+			t.Fatalf("Percentile(%v) = %v, want %v", p, got, want)
+		}
 	}
 }
