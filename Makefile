@@ -1,13 +1,13 @@
 # Standard checks for the FreePart reproduction. `make check` is the gate:
 # formatting, vet (the nested perfbench module included), build,
 # race-enabled tests, fixed-seed chaos soaks, one run of every server act,
-# and the BENCH drift gate.
+# the BENCH drift gate, and the nested perfbench module's tests.
 
 GO ?= go
 
-.PHONY: check benchcheck serversmoke fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
+.PHONY: check benchcheck perfbenchtest serversmoke fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
 
-check: fmt vet build race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak serversmoke benchcheck
+check: fmt vet build race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak serversmoke benchcheck perfbenchtest
 
 # The experiments that write a committed BENCH_<name>.json.
 BENCHES := serving failover autoscale overload isolation defense gray partition
@@ -24,6 +24,12 @@ benchcheck:
 		cmp "$$tmp/BENCH_$$b.json" BENCH_$$b.json || { echo "benchcheck: BENCH_$$b.json drifted; regenerate with make $$b"; fail=1; }; \
 	done; \
 	[ $$fail -eq 0 ] && echo "benchcheck: all BENCH files byte-identical"
+
+# The nested perfbench module's tests (about 70 s): its bit-equality gates
+# pin the virtual metrics a metrics or core change could silently move,
+# which vet alone (it only compiles the module) cannot catch.
+perfbenchtest:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # gofmt cleanliness gate: fails listing any file that gofmt would rewrite.
 fmt:
@@ -87,7 +93,7 @@ failover:
 
 # Autoscale soak under the race detector: the load ramp scaling a pool in
 # both directions while shard 1 crash-loops; outputs must match the
-# fixed-pool fault-free baseline and sched.Event logs must replay
+# fixed-pool fault-free baseline and controller decision logs must replay
 # byte-equal.
 autoscalesoak:
 	$(GO) test -race -run TestAutoscaleSoak -count=1 ./internal/chaos/

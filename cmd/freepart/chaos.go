@@ -59,7 +59,7 @@ func cmdChaos(args []string) error {
 			diverged++
 		}
 		fmt.Printf("seed %4d: injected=%d restarts=%d retries=%d degraded=%d  [%s]\n",
-			s, snap.InjectedFaults+engSrv.Injected(), snap.Restarts, snap.Retries, snap.Degraded, verdict)
+			s, eng.Injected()+engSrv.Injected(), snap.Restarts, snap.Retries, snap.Degraded, verdict)
 		if err != nil {
 			fmt.Printf("           OMR error: %v\n", err)
 		}

@@ -20,6 +20,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 
@@ -29,28 +30,6 @@ import (
 	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
-
-// Event is one fired fault in the injection log.
-type Event struct {
-	// N is the 1-based position in the log.
-	N uint64
-	// At is the virtual time of injection (0 if no clock is bound).
-	At vclock.Duration
-	// Site is the layer: "kernel", "ipc", "mem", "supervisor", or
-	// "degrade" (the gray-failure service-time channel).
-	Site string
-	// Kind names the fault: "crash", "transient", "stall", "drop", "dup",
-	// "corrupt", "fault", "degrade" — or, on the gray-failure site, "slow",
-	// "gray-stall", "brownout".
-	Kind string
-	// Detail identifies the victim (process name, syscall, seq, address).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (e Event) String() string {
-	return fmt.Sprintf("#%d @%v %s/%s %s", e.N, e.At, e.Site, e.Kind, e.Detail)
-}
 
 // Engine makes all injection decisions for one run. It implements
 // kernel.FaultInjector and ipc.Injector; core installs its MemFault as a
@@ -62,13 +41,17 @@ type Engine struct {
 	mu        sync.Mutex
 	rng       *rand.Rand
 	clock     *vclock.Clock
-	counters  *metrics.Counters
 	syscalls  uint64 // targeted syscall consultations (drives CrashEveryN)
 	transient int    // consecutive transients at the current site
-	events    []Event
+	// log is the injection log: Tick is each fault's 1-based position,
+	// Kind its "site/kind" — site "kernel", "ipc", "mem", "supervisor", or
+	// "degrade" (the gray-failure service-time channel); kind "crash",
+	// "transient", "stall", "drop", "dup", "corrupt", "fault", "degrade"
+	// or, on the gray-failure site, "slow", "gray-stall", "brownout".
+	log metrics.Log
 }
 
-// New builds an engine from a plan. Bind attaches the clock and counters.
+// New builds an engine from a plan. Bind attaches the clock.
 func New(plan Plan) *Engine {
 	return &Engine{
 		plan: plan,
@@ -76,8 +59,8 @@ func New(plan Plan) *Engine {
 	}
 }
 
-// Bind attaches the virtual clock (for event timestamps) and the metrics
-// counters (for InjectedFaults). Either may be nil. Called by core.New.
+// Bind attaches the virtual clock (for event timestamps); nil is allowed.
+// Called by core.New.
 //
 // One engine serves exactly one kernel clock: event timestamps and the
 // PRNG's consultation order are only meaningful against a single clock, so
@@ -85,50 +68,37 @@ func New(plan Plan) *Engine {
 // ordering (the bug multi-runtime sharing used to hit). Rebinding the same
 // clock is idempotent and allowed; binding a second, different clock panics.
 // Multi-shard runs build one engine per shard from Plan.ForShard instead.
-func (e *Engine) Bind(clock *vclock.Clock, counters *metrics.Counters) {
+func (e *Engine) Bind(clock *vclock.Clock) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.clock != nil && clock != nil && e.clock != clock {
 		panic("chaos: engine already bound to a different kernel clock; one engine per shard — build per-shard engines with Plan.ForShard")
 	}
 	e.clock = clock
-	e.counters = counters
 }
 
 // Plan returns the engine's configuration.
 func (e *Engine) Plan() Plan { return e.plan }
 
 // Events returns a copy of the injection log.
-func (e *Engine) Events() []Event {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Event, len(e.events))
-	copy(out, e.events)
-	return out
-}
+func (e *Engine) Events() []metrics.Event { return e.log.Events() }
 
 // Injected returns how many faults have fired.
-func (e *Engine) Injected() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return uint64(len(e.events))
-}
+func (e *Engine) Injected() uint64 { return uint64(e.log.Len()) }
 
-// Log renders the full injection log, one event per line.
+// Log renders the full injection log, one "#N @At site/kind detail" line
+// per event.
 func (e *Engine) Log() string {
-	var b strings.Builder
-	for _, ev := range e.Events() {
-		b.WriteString(ev.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return e.log.Render(func(ev metrics.Event) string {
+		return fmt.Sprintf("#%d @%v %s %s", ev.Tick, ev.At, ev.Kind, ev.Detail)
+	})
 }
 
 // Summary returns per-kind fault counts as a stable one-line string.
 func (e *Engine) Summary() string {
 	counts := map[string]int{}
 	for _, ev := range e.Events() {
-		counts[ev.Site+"/"+ev.Kind]++
+		counts[ev.Kind]++
 	}
 	if len(counts) == 0 {
 		return "no faults injected"
@@ -137,12 +107,7 @@ func (e *Engine) Summary() string {
 	for k := range counts {
 		keys = append(keys, k)
 	}
-	// Stable order without importing sort at the call sites.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
 		parts[i] = fmt.Sprintf("%s=%d", k, counts[k])
@@ -158,19 +123,14 @@ func (e *Engine) Note(site, kind, detail string) {
 	e.record(site, kind, detail)
 }
 
-// record appends an event under e.mu.
+// record appends an event under e.mu, which orders every append, so the
+// position read from the log is the new event's.
 func (e *Engine) record(site, kind, detail string) {
 	at := vclock.Duration(0)
 	if e.clock != nil {
 		at = e.clock.Now()
 	}
-	e.events = append(e.events, Event{
-		N: uint64(len(e.events) + 1), At: at,
-		Site: site, Kind: kind, Detail: detail,
-	})
-	if e.counters != nil {
-		e.counters.AddInjectedFault()
-	}
+	e.log.Append(metrics.Event{Tick: e.log.Len() + 1, At: at, Kind: site + "/" + kind, Detail: detail})
 }
 
 // targets reports whether a process name is fair game.

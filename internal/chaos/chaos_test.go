@@ -8,11 +8,12 @@ import (
 	"freepart.dev/freepart/internal/chaos"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 )
 
 // drive pushes a fixed consultation pattern through an engine and returns
 // the resulting log.
-func drive(e *chaos.Engine, k *kernel.Kernel, agent *kernel.Process) []chaos.Event {
+func drive(e *chaos.Engine, k *kernel.Kernel, agent *kernel.Process) []metrics.Event {
 	for i := 0; i < 40; i++ {
 		e.OnSyscall(agent, kernel.SysRead)
 		e.RequestFault(uint64(i), []byte("req"))

@@ -43,7 +43,7 @@ func graySoakRun(t *testing.T, seed int64, crashShard, slowShard int) ([]apps.De
 		}
 		return root.ForShard(id)
 	}
-	ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, crashLoopSoakConfig(), planOf))
+	ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, crashLoopSoakConfig, planOf))
 	if err != nil {
 		t.Fatal(err)
 	}

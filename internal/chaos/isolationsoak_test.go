@@ -38,7 +38,7 @@ func tieredTrackRun(t *testing.T, seed int64, crashShard int) ([]apps.TrackResul
 		}
 		return root.ForShard(id)
 	}
-	ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, tieredSoakConfig(), planOf))
+	ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, tieredSoakConfig, planOf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func overloadRun(t *testing.T, seed int64, streams []apps.TrackStream, pol core.
 		}
 		return root.ForShard(id)
 	}
-	ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, crashLoopSoakConfig(), planOf))
+	ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, crashLoopSoakConfig, planOf))
 	if err != nil {
 		t.Fatal(err)
 	}

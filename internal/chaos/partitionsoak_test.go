@@ -39,7 +39,7 @@ func partitionSoakRun(t *testing.T, seed int64, crashShard int) ([]apps.Detectio
 		}
 		return root.ForShard(id)
 	}
-	ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, crashLoopSoakConfig(), planOf))
+	ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, crashLoopSoakConfig, planOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestPartitionZeroCost(t *testing.T) {
 		cat := analysis.New(reg, nil).Categorize()
 		root := chaos.Scaled(23, 0.03)
 		planOf := func(id, gen int) chaos.Plan { return root.ForShard(id) }
-		ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, crashLoopSoakConfig(), planOf))
+		ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, crashLoopSoakConfig, planOf))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func shardedTrackRun(t *testing.T, seed int64, crashShard int) ([]apps.TrackResu
 		}
 		return root.ForShard(id)
 	}
-	ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, crashLoopSoakConfig(), planOf))
+	ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, crashLoopSoakConfig, planOf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestForShardDerivation(t *testing.T) {
 func TestEngineBindPanicsOnSecondClock(t *testing.T) {
 	eng := chaos.New(chaos.Scaled(1, 0.05))
 	c1, c2 := vclock.New(), vclock.New()
-	eng.Bind(c1, nil)
-	eng.Bind(c1, nil) // idempotent
+	eng.Bind(c1)
+	eng.Bind(c1) // idempotent
 	defer func() {
 		if recover() == nil {
 			t.Fatal("binding a second clock must panic")
 		}
 	}()
-	eng.Bind(c2, nil)
+	eng.Bind(c2)
 }

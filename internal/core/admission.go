@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"freepart.dev/freepart/internal/ipc"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -176,38 +177,33 @@ func (e *Executor) shedLocked(sh *Shard, s *Session, arrival, now vclock.Duratio
 	return false, nil
 }
 
-// recordShed logs one overload decision in the failover event log and bumps
-// the overload counters — event, metrics, and per-slot/per-tenant load
-// signals all mutate inside one e.mu critical section, so an
-// EventsAndMetrics snapshot can never show a rejection the log doesn't
-// explain (the PR-5 consistency convention). Stamped at `at`: the arrival
-// for rejects, the dequeue clock for deadline sheds — both pure functions
-// of the shard's admitted work, so per-shard event subsequences replay
-// byte-equal.
+// recordShed logs one admission refusal in the executor's event log, where
+// the Rejected / DeadlineShed / Quarantined counts are read from, and bumps
+// the tenant's shed count and the per-slot/per-tenant load signals.
+// Stamped at `at`: the arrival for rejects, the dequeue clock for deadline
+// sheds — both pure functions of the shard's admitted work, so per-shard
+// event subsequences replay byte-equal.
 func (e *Executor) recordShed(sh *Shard, s *Session, kind string, at vclock.Duration, detail string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.events = append(e.events, FailoverEvent{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
+	e.met.Log().Append(metrics.Event{At: at, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
+	e.met.AddTenantShed(s.Tenant)
 	l := e.loads[sh.ID]
 	if l == nil {
 		l = &shardLoad{}
 		e.loads[sh.ID] = l
 	}
 	t := e.tenantLoadLocked(s.Tenant, s.Weight)
+	// A quarantine refusal is deliberately refused traffic: it stays out of
+	// the rejected/shed load signals — the control plane must not grow the
+	// pool to serve a quarantined attacker.
 	switch kind {
 	case "reject":
-		e.met.AddRejected(s.Tenant)
 		l.rejected++
 		t.rejected++
 	case "shed":
-		e.met.AddDeadlineShed(s.Tenant)
 		l.shed++
 		t.shed++
-	case "quarantine":
-		// Deliberately refused traffic: counted, but not into the
-		// rejected/shed load signals — the control plane must not grow
-		// the pool to serve a quarantined attacker.
-		e.met.AddQuarantined(s.Tenant)
 	}
 }
 

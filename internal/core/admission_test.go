@@ -71,7 +71,7 @@ func TestAdmissionQueueBound(t *testing.T) {
 		t.Fatalf("arrival after drain: %v", err)
 	}
 
-	events, m := ex.EventsAndMetrics()
+	events, m := ex.Metrics().Log().Events(), ex.Metrics().Snapshot()
 	if m.Rejected != 1 {
 		t.Fatalf("Rejected = %d, want 1", m.Rejected)
 	}
@@ -117,7 +117,7 @@ func TestAdmissionDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, m := ex.EventsAndMetrics()
+	events, m := ex.Metrics().Log().Events(), ex.Metrics().Snapshot()
 	if m.DeadlineShed != 1 {
 		t.Fatalf("DeadlineShed = %d, want 1", m.DeadlineShed)
 	}
@@ -146,7 +146,7 @@ func TestAdmissionZeroPolicyIsInert(t *testing.T) {
 			t.Fatalf("request %d rejected under zero policy: %v", i, err)
 		}
 	}
-	events, m := ex.EventsAndMetrics()
+	events, m := ex.Metrics().Log().Events(), ex.Metrics().Snapshot()
 	if m.Rejected != 0 || m.DeadlineShed != 0 {
 		t.Fatalf("zero policy shed work: rejected=%d deadline=%d", m.Rejected, m.DeadlineShed)
 	}

@@ -190,39 +190,7 @@ func ProtectedShards(reg *framework.Registry, cat *analysis.Categorization, cfg 
 		if c.Chaos != nil && !(id == 0 && rootEngineUsed.CompareAndSwap(false, true)) {
 			c.Chaos = chaos.New(c.Chaos.Plan().ForShard(id))
 		}
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
-	}
-}
-
-// ChaosShards returns a protected-shard factory with an explicit per-shard,
-// per-generation chaos plan — the hook tests use to force exactly one shard
-// into a crash loop while the others see background-intensity faults. The
-// factory counts how many times each id was built, so planOf sees gen 0 for
-// the original shard and gen n for the n-th replacement: a crash-looping
-// machine can be modeled as replaced by a healthy one, which is what breaks
-// the crash→drain→crash cycle. Build order per id is deterministic, so the
-// gen sequence replays exactly.
-func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
-	var mu sync.Mutex
-	gens := make(map[int]int)
-	return func(id int) (*Shard, error) {
-		mu.Lock()
-		gen := gens[id]
-		gens[id]++
-		mu.Unlock()
-		c := cfg
-		c.Chaos = chaos.New(planOf(id, gen))
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
+		return protectedShard(reg, cat, id, c)
 	}
 }
 
@@ -232,11 +200,19 @@ func ChaosShards(reg *framework.Registry, cat *analysis.Categorization, cfg Conf
 // the failover machinery comes back under whatever configuration — in
 // particular, whatever isolation policy — is current at respawn time.
 // This is the re-bind hook the adaptive defense controller escalates and
-// anneals through (RebindShard). planOf, when non-nil, supplies per-shard
-// per-generation chaos plans exactly as ChaosShards does. With a cfgOf
-// that always returns the same configuration and a nil planOf, the
-// factory builds byte-identical shards to ProtectedShards over that
-// configuration — the defense zero-cost guard pins this down.
+// anneals through (RebindShard). With a cfgOf that always returns the
+// same configuration and a nil planOf, the factory builds byte-identical
+// shards to ProtectedShards over that configuration — the defense
+// zero-cost guard pins this down.
+//
+// planOf, when non-nil, supplies an explicit per-shard, per-generation
+// chaos plan — the hook tests use to force exactly one shard into a crash
+// loop while the others see background-intensity faults. The factory
+// counts how many times each id was built, so planOf sees gen 0 for the
+// original shard and gen n for the n-th replacement: a crash-looping
+// machine can be modeled as replaced by a healthy one, which is what
+// breaks the crash→drain→crash cycle. Build order per id is deterministic,
+// so the gen sequence replays exactly.
 func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf func() Config, planOf func(id, gen int) chaos.Plan) ShardFactory {
 	var mu sync.Mutex
 	gens := make(map[int]int)
@@ -249,13 +225,19 @@ func DynamicShards(reg *framework.Registry, cat *analysis.Categorization, cfgOf 
 		if planOf != nil {
 			c.Chaos = chaos.New(planOf(id, gen))
 		}
-		k := kernel.New()
-		rt, err := New(k, reg, cat, c)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", id, err)
-		}
-		return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
+		return protectedShard(reg, cat, id, c)
 	}
+}
+
+// protectedShard builds shard id as a fresh kernel running a FreePart
+// runtime configured by cfg.
+func protectedShard(reg *framework.Registry, cat *analysis.Categorization, id int, cfg Config) (*Shard, error) {
+	k := kernel.New()
+	rt, err := New(k, reg, cat, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: shard %d: %w", id, err)
+	}
+	return &Shard{ID: id, K: k, Ex: rt, Rt: rt}, nil
 }
 
 // DirectShards returns a factory producing unprotected shards: each shard
@@ -284,30 +266,6 @@ type HealthPolicy struct {
 	// breaker has demoted any partition to in-host execution: replacement
 	// restores full isolation instead of serving without it indefinitely.
 	DrainOnDegrade bool
-}
-
-// FailoverEvent is one entry in the executor's replayable failover log.
-// Per-shard subsequences (FailoverEventsFor) are deterministic for a fixed
-// plan seed; the interleaving across shards is not, so replay assertions
-// compare per shard.
-type FailoverEvent struct {
-	// At is the virtual time on the subject shard's clock.
-	At vclock.Duration
-	// Shard and Gen identify the shard incarnation the event concerns.
-	Shard int
-	Gen   int
-	// Kind is "kill", "drain", "replace", "replace-failed", "migrate",
-	// "migrate-failed" — or a control-plane action: "grow", "shrink",
-	// "rebalance", "rebind" (defense re-bind drain), "quarantine"
-	// (admission refused for a quarantined tenant).
-	Kind string
-	// Detail carries the reason or subject (session id, error).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (ev FailoverEvent) String() string {
-	return fmt.Sprintf("@%v shard %d/gen %d %s %s", ev.At, ev.Shard, ev.Gen, ev.Kind, ev.Detail)
 }
 
 // Executor is the concurrent serving layer: a bounded worker pool over n
@@ -343,7 +301,6 @@ type Executor struct {
 	sessions  []*Session
 	retired   []*Shard
 	killAt    map[int]vclock.Duration
-	events    []FailoverEvent
 	policy    HealthPolicy
 	admit     AdmissionPolicy
 	gate      AdmissionGate
@@ -501,8 +458,10 @@ func (e *Executor) Store() *object.Store { return e.store }
 // CheckpointLog returns the portable checkpoint log shared by all shards.
 func (e *Executor) CheckpointLog() *object.CheckpointLog { return e.ckpt }
 
-// Metrics returns the executor's serving-layer counters (ShardDrains,
-// Migrations, FailedMigrations; runtime-level counters stay per shard).
+// Metrics returns the executor's serving-layer counters. Its Log() is the
+// executor's event log: every kill, drain, replacement, migration, scale,
+// shed, suspicion and hedge, stamped on the subject shard's clock.
+// Runtime-level counters stay per shard.
 func (e *Executor) Metrics() *metrics.Counters { return e.met }
 
 // Latencies returns the per-invocation virtual latency distribution.
@@ -609,67 +568,22 @@ func (e *Executor) healthPolicy() HealthPolicy {
 	return e.policy
 }
 
-// recordEvent appends to the failover log, stamped on the subject shard's
-// clock, and bumps the matching metrics counter inside the same critical
-// section. Counter and log mutate atomically with respect to
-// EventsAndMetrics, so a snapshot taken mid-migration can never show a
-// count the paired log doesn't explain (or vice versa).
+// recordEvent appends to the executor's event log, stamped on the subject
+// shard's clock. The drain, migration, scaling, rebind and hedge counts in
+// Metrics are read from this log, so they never disagree with it.
 func (e *Executor) recordEvent(sh *Shard, kind, detail string) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.events = append(e.events, FailoverEvent{
+	e.met.Log().Append(metrics.Event{
 		At: sh.K.Clock.Now(), Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail,
 	})
-	switch kind {
-	case "drain":
-		e.met.AddShardDrain()
-	case "migrate":
-		e.met.AddMigration()
-	case "migrate-failed":
-		e.met.AddFailedMigration()
-	case "grow":
-		e.met.AddScaleUp()
-	case "shrink":
-		e.met.AddScaleDown()
-	case "rebalance":
-		e.met.AddRebalance()
-	case "rebind":
-		e.met.AddRebind()
-	case "hedge":
-		e.met.AddHedge()
-	case "hedge-win":
-		e.met.AddHedgeWin()
-	case "hedge-cancel":
-		e.met.AddHedgeCancel()
-	}
 }
 
-// EventsAndMetrics returns the control event log and the metrics snapshot
-// under one lock acquisition: the pair is consistent — every drain,
-// migration, scale, and rebalance counted in the snapshot has its event in
-// the log, even while migrations are in flight on other goroutines.
-func (e *Executor) EventsAndMetrics() ([]FailoverEvent, metrics.Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]FailoverEvent, len(e.events))
-	copy(out, e.events)
-	return out, e.met.Snapshot()
-}
-
-// FailoverEvents returns a copy of the full failover log.
-func (e *Executor) FailoverEvents() []FailoverEvent {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]FailoverEvent, len(e.events))
-	copy(out, e.events)
-	return out
-}
-
-// FailoverEventsFor returns the failover log filtered to one shard id —
-// the deterministic, replay-comparable subsequence.
-func (e *Executor) FailoverEventsFor(id int) []FailoverEvent {
-	var out []FailoverEvent
-	for _, ev := range e.FailoverEvents() {
+// FailoverEventsFor returns the executor's event log (Metrics().Log())
+// filtered to one shard id — the deterministic, replay-comparable
+// subsequence. The interleaving across shards is not deterministic, so
+// replay assertions compare per shard.
+func (e *Executor) FailoverEventsFor(id int) []metrics.Event {
+	var out []metrics.Event
+	for _, ev := range e.met.Log().Events() {
 		if ev.Shard == id {
 			out = append(out, ev)
 		}
@@ -1544,7 +1458,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 	}
 	e.queue.Add(wait)
 	e.noteWait(sh.ID, s, wait, jerr != nil)
-	e.observeService(sh, end-svcStart, end)
+	e.observeService(sh, end-svcStart)
 	return true, end, end - svcStart, jerr
 }
 

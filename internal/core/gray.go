@@ -198,11 +198,11 @@ func (e *Executor) peerMedianLocked(id int, min uint64) float64 {
 // into the shard's suspicion score and, when the score crosses the drain
 // threshold, marks the shard lost so its next admission fails over —
 // exactly the path a crash window takes, reached from a latency signal.
-// Transitions land in the failover event log ("suspect", "suspect-clear",
-// "gray-drain") under the same lock as the metrics counters. Called with
-// sh.mu held (shard mu orders before executor mu), with the shard clock
-// already at end.
-func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
+// Transitions land in the executor's event log ("suspect", "suspect-clear",
+// "gray-drain"; GrayDrains is read from the last), stamped on the shard
+// clock, which stands at the invocation's completion. Called with sh.mu
+// held (shard mu orders before executor mu).
+func (e *Executor) observeService(sh *Shard, svc vclock.Duration) {
 	e.mu.Lock()
 	pol := e.grayp
 	if !pol.active() || svc < 0 {
@@ -238,14 +238,11 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		e.mu.Unlock()
 		return
 	}
-	event := func(kind, detail string) {
-		e.events = append(e.events, FailoverEvent{At: end, Shard: sh.ID, Gen: sh.Gen, Kind: kind, Detail: detail})
-	}
 	if g.ewma > pol.Ratio*ref {
 		g.score += pol.rise()
 		if !g.suspect {
 			g.suspect = true
-			event("suspect", fmt.Sprintf("ewma %v over %.1fx ref %v",
+			e.recordEvent(sh, "suspect", fmt.Sprintf("ewma %v over %.1fx ref %v",
 				vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref)))
 		}
 	} else if g.score > 0 {
@@ -254,7 +251,7 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 			g.score = 0
 			if g.suspect {
 				g.suspect = false
-				event("suspect-clear", fmt.Sprintf("ewma %v back under %.1fx ref %v",
+				e.recordEvent(sh, "suspect-clear", fmt.Sprintf("ewma %v back under %.1fx ref %v",
 					vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref)))
 			}
 		}
@@ -264,8 +261,7 @@ func (e *Executor) observeService(sh *Shard, svc, end vclock.Duration) {
 		g.drains++
 		reason = fmt.Sprintf("gray failure: service ewma %v over %.1fx reference %v (score %.1f)",
 			vclock.Duration(g.ewma), pol.Ratio, vclock.Duration(ref), g.score)
-		event("gray-drain", reason)
-		e.met.AddGrayDrain()
+		e.recordEvent(sh, "gray-drain", reason)
 	}
 	e.mu.Unlock()
 	if reason != "" {

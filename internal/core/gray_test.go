@@ -33,7 +33,7 @@ func grayEventKinds(ex *core.Executor, kinds ...string) []string {
 		want[k] = true
 	}
 	var out []string
-	for _, ev := range ex.FailoverEvents() {
+	for _, ev := range ex.Metrics().Log().Events() {
 		if want[ev.Kind] {
 			out = append(out, ev.Kind)
 		}
@@ -290,7 +290,7 @@ func TestGrayZeroCost(t *testing.T) {
 		cfg := core.ChaosConfig(nil)
 		cfg.BreakerThreshold = 3
 		cfg.BreakerWindow = 200 * ms
-		ex, err := core.NewExecutor(4, core.ChaosShards(reg, cat, cfg, planOf))
+		ex, err := core.NewExecutor(4, core.DynamicShards(reg, cat, func() core.Config { return cfg }, planOf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,8 +324,8 @@ func TestGrayZeroCost(t *testing.T) {
 	if a, b := plain.CriticalPath(), gray.CriticalPath(); a != b {
 		t.Fatalf("critical path diverged: %v vs %v", a, b)
 	}
-	pe, pm := plain.EventsAndMetrics()
-	ge, gm := gray.EventsAndMetrics()
+	pe, pm := plain.Metrics().Log().Events(), plain.Metrics().Snapshot()
+	ge, gm := gray.Metrics().Log().Events(), gray.Metrics().Snapshot()
 	if !reflect.DeepEqual(pe, ge) {
 		t.Fatalf("failover events diverged:\n%v\n%v", pe, ge)
 	}

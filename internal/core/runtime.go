@@ -153,7 +153,7 @@ func New(k *kernel.Kernel, reg *framework.Registry, cat *analysis.Categorization
 	// Arm the kernel injector only after every agent is up: chaos models
 	// steady-state faults, not boot failures (those would abort New).
 	if cfg.Chaos != nil {
-		cfg.Chaos.Bind(k.Clock, rt.Metrics)
+		cfg.Chaos.Bind(k.Clock)
 		k.SetInjector(cfg.Chaos)
 	}
 	return rt, nil

@@ -8,6 +8,7 @@ import (
 	"freepart.dev/freepart/internal/analysis"
 	"freepart.dev/freepart/internal/core"
 	"freepart.dev/freepart/internal/framework/all"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
 
@@ -93,7 +94,7 @@ func TestShrinkRetiresHighestSlotAndMigrates(t *testing.T) {
 // and demands byte-equal event logs and shard loads — the executor-level
 // half of the control plane's replayability story.
 func TestScaleSequenceDeterministic(t *testing.T) {
-	run := func() ([]core.FailoverEvent, []core.ShardLoad) {
+	run := func() ([]metrics.Event, []core.ShardLoad) {
 		reg := all.Registry()
 		ex, err := core.NewExecutor(2, core.DirectShards(reg))
 		if err != nil {
@@ -112,8 +113,7 @@ func TestScaleSequenceDeterministic(t *testing.T) {
 		if _, err := ex.Shrink(nil); err != nil {
 			t.Fatal(err)
 		}
-		events, _ := ex.EventsAndMetrics()
-		return events, ex.ShardLoads()
+		return ex.Metrics().Log().Events(), ex.ShardLoads()
 	}
 	e1, l1 := run()
 	e2, l2 := run()
@@ -125,11 +125,31 @@ func TestScaleSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestEventsAndMetricsAgree polls the paired (event log, metrics snapshot)
-// while scale and migration traffic is in flight and demands they always
-// explain each other — the regression guard for the snapshot/log race the
-// seed had (counters bumped outside the event-log lock, so a mid-migration
-// snapshot could count an event the log didn't show).
+// eventFields maps every event-derived Snapshot field to the executor
+// event kind it counts.
+var eventFields = map[string]func(metrics.Snapshot) uint64{
+	"drain":          func(m metrics.Snapshot) uint64 { return m.ShardDrains },
+	"migrate":        func(m metrics.Snapshot) uint64 { return m.Migrations },
+	"migrate-failed": func(m metrics.Snapshot) uint64 { return m.FailedMigrations },
+	"grow":           func(m metrics.Snapshot) uint64 { return m.ScaleUps },
+	"shrink":         func(m metrics.Snapshot) uint64 { return m.ScaleDowns },
+	"rebalance":      func(m metrics.Snapshot) uint64 { return m.Rebalances },
+	"rebind":         func(m metrics.Snapshot) uint64 { return m.Rebinds },
+	"hedge":          func(m metrics.Snapshot) uint64 { return m.Hedges },
+	"hedge-win":      func(m metrics.Snapshot) uint64 { return m.HedgeWins },
+	"hedge-cancel":   func(m metrics.Snapshot) uint64 { return m.HedgeCancels },
+	"reject":         func(m metrics.Snapshot) uint64 { return m.Rejected },
+	"shed":           func(m metrics.Snapshot) uint64 { return m.DeadlineShed },
+	"quarantine":     func(m metrics.Snapshot) uint64 { return m.Quarantined },
+	"gray-drain":     func(m metrics.Snapshot) uint64 { return m.GrayDrains },
+}
+
+// TestEventsAndMetricsAgree polls the metrics snapshot between two reads
+// of the event log while scale, migration, kill and overload traffic is in
+// flight, and demands every event-derived field lie between its kind's
+// count in the earlier and the later log — and equal it once the pool is
+// quiet. The fields are read from the log, so they can never count an
+// event the log lacks.
 func TestEventsAndMetricsAgree(t *testing.T) {
 	reg := all.Registry()
 	ex, err := core.NewExecutor(2, core.DirectShards(reg))
@@ -137,13 +157,14 @@ func TestEventsAndMetricsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
+	ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 1})
 	var sessions []*core.Session
 	for i := 0; i < 4; i++ {
 		sessions = append(sessions, ex.Session())
 	}
 
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
@@ -159,28 +180,48 @@ func TestEventsAndMetricsAgree(t *testing.T) {
 			_ = ex.MigrateSession(sessions[i%4].ID, i%2, 0)
 		}
 	}()
-
-	check := func() {
-		events, m := ex.EventsAndMetrics()
-		var grows, migrates uint64
-		for _, ev := range events {
-			switch ev.Kind {
-			case "grow":
-				grows++
-			case "migrate":
-				migrates++
+	go func() {
+		defer wg.Done()
+		// Arrivals stamped at 0 behind a 100ns job overrun the queue
+		// bound; a kill mid-stream drains the session's shard.
+		s := ex.Session()
+		for i := 0; i < 20; i++ {
+			if i == 10 {
+				ex.KillShard(s.Shard().ID, "test kill")
 			}
+			_ = s.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil })
 		}
-		if m.ScaleUps != grows {
-			t.Fatalf("snapshot counts %d scale-ups, log shows %d", m.ScaleUps, grows)
-		}
-		if m.Migrations != migrates {
-			t.Fatalf("snapshot counts %d migrations, log shows %d", m.Migrations, migrates)
+	}()
+
+	check := func(quiet bool) {
+		before := ex.Metrics().Log().Events()
+		m := ex.Metrics().Snapshot()
+		after := ex.Metrics().Log().Events()
+		for kind, field := range eventFields {
+			lo, hi := countKind(before, kind), countKind(after, kind)
+			if got := field(m); got < lo || got > hi || (quiet && got != hi) {
+				t.Fatalf("snapshot counts %d %q events, log shows %d..%d", got, kind, lo, hi)
+			}
 		}
 	}
 	for i := 0; i < 200; i++ {
-		check()
+		check(false)
 	}
 	wg.Wait()
-	check()
+	check(true)
+	m := ex.Metrics().Snapshot()
+	if m.ScaleUps != 10 || m.Migrations == 0 || m.ShardDrains != 1 || m.Rejected == 0 {
+		t.Fatalf("workload missed its events: %+v", m)
+	}
+}
+
+// countKind counts the events of one kind.
+func countKind(evs []metrics.Event, kind string) uint64 {
+	var n uint64
+	for _, ev := range evs {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
 }

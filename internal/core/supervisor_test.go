@@ -79,7 +79,7 @@ func TestCircuitBreakerDegradesToInHost(t *testing.T) {
 	// The degradation is on the injection log for replay.
 	found := false
 	for _, ev := range eng.Events() {
-		if ev.Site == "supervisor" && ev.Kind == "degrade" {
+		if ev.Kind == "supervisor/degrade" {
 			found = true
 		}
 	}
@@ -172,7 +172,7 @@ func TestMemFaultStormDegradesGracefully(t *testing.T) {
 	if snap.Degraded == 0 {
 		t.Fatalf("mem-fault storm should degrade at least one partition: %+v", snap)
 	}
-	if snap.InjectedFaults == 0 {
+	if eng.Injected() == 0 {
 		t.Fatal("no faults recorded")
 	}
 }

@@ -20,11 +20,10 @@
 //     clean window, with hysteresis (the clean window doubles on each
 //     re-escalation) so a flapping attacker cannot oscillate the policy.
 //
-// Every decision lands in a byte-replayable Event log following the
-// sched.Event convention: sightings are buffered between barriers and
-// drained in (shard, sequence) order at Tick, so the log is a pure
-// function of the per-shard signal streams regardless of goroutine
-// interleaving. A nil controller costs nothing: with no sensors armed,
+// Every decision lands in a byte-replayable metrics.Log, like the
+// autoscaler's: sightings are buffered between barriers and drained in
+// (shard, sequence) order at Tick, so the log is a pure function of the
+// per-shard signal streams regardless of goroutine interleaving. A nil controller costs nothing: with no sensors armed,
 // no gate installed, and a static factory configuration, the serving
 // path is bit-identical to the static presets (TestDefenseZeroCost).
 package defense
@@ -43,27 +42,9 @@ import (
 	"freepart.dev/freepart/internal/isolation"
 	"freepart.dev/freepart/internal/kernel"
 	"freepart.dev/freepart/internal/mem"
+	"freepart.dev/freepart/internal/metrics"
 	"freepart.dev/freepart/internal/vclock"
 )
-
-// Event is one defense decision, in the replayable log convention shared
-// with sched.Event and the executor's failover log.
-type Event struct {
-	// Tick is the reconcile round the decision was made in.
-	Tick int
-	// At is the virtual time handed to Tick (the serving-wave barrier).
-	At vclock.Duration
-	// Kind is "sighting", "blocklist", "screen", "escalate", "anneal",
-	// "quarantine", "release", "rebind", or "rebind-failed".
-	Kind string
-	// Detail carries the subject (CVE, API type, tenant, tiers).
-	Detail string
-}
-
-// String renders the event as one log line.
-func (e Event) String() string {
-	return fmt.Sprintf("tick %d @%v %s %s", e.Tick, e.At, e.Kind, e.Detail)
-}
 
 // Params tunes the control loop. The zero value gets workable defaults
 // from New.
@@ -117,7 +98,10 @@ type quarState struct {
 	tick  int
 }
 
-// Stats summarizes the controller's activity for reports.
+// Stats summarizes the controller's activity for reports. All but
+// WatchdogTrips and ScreenHits are counts of the matching decision-log
+// kind ("sighting", "escalate", "anneal", "quarantine", "release",
+// "rebind").
 type Stats struct {
 	Sightings int
 	// WatchdogTrips counts the subset of sightings delivered by the DoS
@@ -143,14 +127,22 @@ type Controller struct {
 	tick      int
 	cur       *isolation.Policy
 	dirty     bool
-	events    []Event
 	pending   []sighting
 	seq       map[int]int
 	screens   []screenHit
 	blocklist map[attack.VulnClass]bool
 	types     map[framework.APIType]*typeState
 	quar      map[int]*quarState
-	stats     Stats
+	// screenHits counts Screen rejections as they happen; their "screen"
+	// events are only logged at the next Tick. watchdogTrips counts the
+	// sightings the DoS watchdog delivered.
+	screenHits    int
+	watchdogTrips int
+	// log is the decision log: Tick is the reconcile round, At the
+	// barrier's virtual time handed to Tick, Kind "sighting", "blocklist",
+	// "screen", "escalate", "anneal", "quarantine", "release", "rebind", or
+	// "rebind-failed", Detail the subject (CVE, API type, tenant, tiers).
+	log metrics.Log
 }
 
 // New builds a controller over an executor (nil is allowed for unit
@@ -298,7 +290,7 @@ func (c *Controller) Screen(cve string) error {
 		return nil
 	}
 	c.screens = append(c.screens, screenHit{cve: cve, class: meta.Class})
-	c.stats.ScreenHits++
+	c.screenHits++
 	return fmt.Errorf("defense: %s matches sighted class %q: %w", cve, meta.Class, core.ErrAttackBlocked)
 }
 
@@ -330,7 +322,7 @@ func (c *Controller) typeStateLocked(t framework.APIType) *typeState {
 
 // record appends one event. Caller holds c.mu.
 func (c *Controller) record(tick int, at vclock.Duration, kind, detail string) {
-	c.events = append(c.events, Event{Tick: tick, At: at, Kind: kind, Detail: detail})
+	c.log.Append(metrics.Event{Tick: tick, At: at, Kind: kind, Detail: detail})
 }
 
 // Tick reconciles at a serving-wave barrier stamped `now` on the run's
@@ -362,9 +354,8 @@ func (c *Controller) Tick(now vclock.Duration) {
 	}
 
 	for _, s := range sights {
-		c.stats.Sightings++
 		if strings.HasPrefix(s.signal, "watchdog:") {
-			c.stats.WatchdogTrips++
+			c.watchdogTrips++
 		}
 		c.record(tick, now, "sighting", fmt.Sprintf(
 			"shard %d seq %d %s class %q api %s tier %s signal %s blocked %v tenant %d",
@@ -384,7 +375,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 		if s.tenant != 0 {
 			if _, ok := c.quar[s.tenant]; !ok {
 				c.quar[s.tenant] = &quarState{since: now, tick: tick}
-				c.stats.Quarantines++
 				c.record(tick, now, "quarantine", fmt.Sprintf("tenant %d after %s (class %q)", s.tenant, s.cve, s.class))
 			}
 		}
@@ -403,7 +393,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 				// doubled clean window before it anneals back down.
 				ts.window *= vclock.Duration(c.p.HysteresisFactor)
 			}
-			c.stats.Escalations++
 			c.record(tick, now, "escalate", fmt.Sprintf("%s: %s -> %s (%s, class %q, signal %s)",
 				s.api.Long(), cur, need, s.cve, s.class, s.signal))
 		}
@@ -428,7 +417,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 		c.cur = c.cur.WithTier(t, next)
 		c.dirty = true
 		ts.lastSight = now
-		c.stats.Anneals++
 		c.record(tick, now, "anneal", fmt.Sprintf("%s: %s -> %s after %v clean", t.Long(), cur, next, ts.window))
 	}
 
@@ -442,7 +430,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 		q := c.quar[id]
 		if now-q.since >= c.p.QuarantineWindow {
 			delete(c.quar, id)
-			c.stats.Releases++
 			c.record(tick, now, "release", fmt.Sprintf("tenant %d after %v quarantined", id, now-q.since))
 		}
 	}
@@ -471,7 +458,6 @@ func (c *Controller) Tick(now vclock.Duration) {
 		if err != nil {
 			c.record(tick, now, "rebind-failed", fmt.Sprintf("shard %d: %v", id, err))
 		} else {
-			c.stats.Rebinds++
 			c.record(tick, now, "rebind", fmt.Sprintf("shard %d -> %s", id, desc))
 		}
 		c.mu.Unlock()
@@ -479,28 +465,20 @@ func (c *Controller) Tick(now vclock.Duration) {
 }
 
 // Events returns a copy of the decision log.
-func (c *Controller) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
+func (c *Controller) Events() []metrics.Event { return c.log.Events() }
 
 // EventLog renders the decision log one event per line — the byte string
 // replay runs compare.
-func (c *Controller) EventLog() string {
-	var b strings.Builder
-	for _, e := range c.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+func (c *Controller) EventLog() string { return c.log.Render(metrics.Event.String) }
 
-// Stats returns a copy of the activity counters.
+// Stats returns the activity counts.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	n := func(kind string) int { return int(c.log.Count(kind)) }
+	return Stats{
+		Sightings: n("sighting"), WatchdogTrips: c.watchdogTrips, ScreenHits: c.screenHits,
+		Escalations: n("escalate"), Anneals: n("anneal"), Quarantines: n("quarantine"),
+		Releases: n("release"), Rebinds: n("rebind"),
+	}
 }

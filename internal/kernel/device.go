@@ -134,13 +134,6 @@ func (n *Network) Recv(host string) (data []byte, ok bool) {
 	return data, true
 }
 
-// GUIEvent records one operation against the simulated GUI subsystem.
-type GUIEvent struct {
-	Op     string // "create", "show", "move", "title", "destroy"
-	Window string
-	Bytes  int
-}
-
 // GUI is the simulated display server (the g_windows / cvNamedWindow state
 // of §4.2). Window state lives here, outside any framework process, which
 // is what lets a restarted visualizing agent repaint without corruption
@@ -148,7 +141,6 @@ type GUIEvent struct {
 type GUI struct {
 	mu      sync.Mutex
 	windows map[string]bool
-	events  []GUIEvent
 	recent  []string // recently displayed titles (MComix3 case study)
 	keys    []int    // pending keystrokes for pollKey/waitKey
 }
@@ -182,27 +174,17 @@ func (g *GUI) Create(name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.windows[name] = true
-	g.events = append(g.events, GUIEvent{Op: "create", Window: name})
 }
 
-// Show displays nbytes of image data in the named window, creating it if
-// needed.
-func (g *GUI) Show(name string, nbytes int) {
+// Show displays an image in the named window, creating it if needed.
+func (g *GUI) Show(name string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.windows[name] = true
-	g.events = append(g.events, GUIEvent{Op: "show", Window: name, Bytes: nbytes})
 	g.recent = append(g.recent, name)
 	if len(g.recent) > 16 {
 		g.recent = g.recent[len(g.recent)-16:]
 	}
-}
-
-// Op records a generic window operation (move, title, ...).
-func (g *GUI) Op(op, name string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.events = append(g.events, GUIEvent{Op: op, Window: name})
 }
 
 // DestroyAll closes every window.
@@ -212,7 +194,6 @@ func (g *GUI) DestroyAll() {
 	for w := range g.windows {
 		delete(g.windows, w)
 	}
-	g.events = append(g.events, GUIEvent{Op: "destroy", Window: "*"})
 }
 
 // Windows reports the number of open windows.
@@ -220,15 +201,6 @@ func (g *GUI) Windows() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.windows)
-}
-
-// Events returns a copy of the recorded event log.
-func (g *GUI) Events() []GUIEvent {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]GUIEvent, len(g.events))
-	copy(out, g.events)
-	return out
 }
 
 // Recent returns the recently displayed window titles (sensitive state in
@@ -243,5 +215,5 @@ func (g *GUI) Recent() []string {
 
 // String summarizes the GUI state.
 func (g *GUI) String() string {
-	return fmt.Sprintf("gui(%d windows, %d events)", g.Windows(), len(g.Events()))
+	return fmt.Sprintf("gui(%d windows)", g.Windows())
 }

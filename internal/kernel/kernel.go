@@ -398,7 +398,7 @@ func (k *Kernel) GUIShow(p *Process, window string, nbytes int) error {
 	if err := k.Syscall(p, SysSendto, ""); err != nil {
 		return err
 	}
-	k.GUI.Show(window, nbytes)
+	k.GUI.Show(window)
 	k.Clock.Advance(k.Cost.CopyCost(nbytes))
 	return nil
 }
@@ -413,8 +413,6 @@ func (k *Kernel) GUIOp(p *Process, op, window string) error {
 	}
 	if op == "destroyAll" {
 		k.GUI.DestroyAll()
-	} else {
-		k.GUI.Op(op, window)
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
-// Package metrics collects the counters the evaluation tables are built
-// from: IPC round trips, bytes moved between processes, lazy vs eager data
-// copies (Table 12), permission flips, restarts, and syscall denials.
+// Package metrics collects what the evaluation tables are built from:
+// counters for IPC round trips, bytes moved between processes, lazy vs
+// eager data copies (Table 12), permission flips, restarts, and syscall
+// denials — and the replayable event log (Event, Log) in which the serving
+// executor, the autoscaler, the defense controller, and the chaos engine
+// record their decisions and injected faults. A counter that would mirror
+// an event kind is not kept: it is read from the log's per-kind count.
 package metrics
 
 import (
-	"fmt"
 	"sync"
 
 	"freepart.dev/freepart/internal/vclock"
@@ -13,67 +16,24 @@ import (
 // Counters accumulates runtime events. Safe for concurrent use.
 type Counters struct {
 	mu sync.Mutex
-
-	ipcCalls    uint64
-	bytesMoved  uint64
-	lazyCopies  uint64
-	eagerCopies uint64
-	permFlips   uint64
-	pagesFlip   uint64
-	restarts    uint64
-	denials     uint64
-	apiCalls    uint64
-	checkpoints uint64
-
-	retries        uint64
-	degraded       uint64
-	degradedCalls  uint64
-	injectedFaults uint64
-
-	shardDrains      uint64
-	migrations       uint64
-	failedMigrations uint64
-
-	scaleUps          uint64
-	scaleDowns        uint64
-	rebalances        uint64
-	batchedAdmissions uint64
-	batchedRequests   uint64
-
-	rejected     uint64
-	deadlineShed uint64
-	tenants      map[int]TenantCounts
-
-	domainSwitches   uint64
-	domainCopies     uint64
-	domainCopyBytes  uint64
-	domainGrants     uint64
-	domainGrantBytes uint64
-
-	watchdogTrips uint64
-	rebinds       uint64
-	quarantined   uint64
-
-	grayDrains   uint64
-	hedges       uint64
-	hedgeWins    uint64
-	hedgeCancels uint64
-	hedgeWork    vclock.Duration
-
-	warmHits        uint64
-	coldMisses      uint64
-	partitionSplits uint64
+	s  Snapshot
+	// log holds the serving executor's shard events; Snapshot derives the
+	// event-mirroring fields from its counts.
+	log Log
 }
 
 // TenantCounts is one tenant's share of the serving outcome: invocations
-// completed cleanly versus shed by overload control (queue-bound rejections
-// plus deadline drops).
+// completed cleanly versus shed at admission (queue-bound rejections,
+// deadline drops, and quarantine refusals).
 type TenantCounts struct {
 	Served uint64
 	Shed   uint64
 }
 
-// Snapshot is an immutable copy of the counters.
+// Snapshot is an immutable copy of the counters. The fields that mirror an
+// executor event kind (listed in Counters.Snapshot) are not stored twice:
+// Snapshot reads them from the event log's per-kind counts, so a snapshot
+// never counts an event the log lacks.
 type Snapshot struct {
 	IPCCalls    uint64
 	BytesMoved  uint64
@@ -95,8 +55,6 @@ type Snapshot struct {
 	// DegradedCalls counts API calls executed in-host on behalf of a
 	// degraded partition (no isolation for these).
 	DegradedCalls uint64
-	// InjectedFaults counts faults the chaos engine actually fired.
-	InjectedFaults uint64
 
 	// ShardDrains counts serving-layer shards drained by the executor's
 	// health policy (or an explicit kill) and replaced by a fresh shard.
@@ -128,9 +86,7 @@ type Snapshot struct {
 	// checkpoint writes, no chaos draws, no clock advance.
 	Rejected     uint64
 	DeadlineShed uint64
-	// Tenants breaks served/shed down per tenant id. Executors bump these
-	// inside the same critical section as the event log appends, so an
-	// EventsAndMetrics pair is always mutually consistent.
+	// Tenants breaks served/shed down per tenant id.
 	Tenants map[int]TenantCounts
 
 	// DomainSwitches counts protection-key domain entries/exits (one WRPKRU
@@ -188,13 +144,17 @@ type Snapshot struct {
 // New creates zeroed counters.
 func New() *Counters { return &Counters{} }
 
+// Log returns the counters' event log. The serving executor records its
+// shard events there.
+func (c *Counters) Log() *Log { return &c.log }
+
 // AddIPC records one RPC round trip moving n payload bytes.
 func (c *Counters) AddIPC(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ipcCalls++
+	c.s.IPCCalls++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -202,9 +162,9 @@ func (c *Counters) AddIPC(n int) {
 func (c *Counters) AddLazyCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lazyCopies++
+	c.s.LazyCopies++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -212,9 +172,9 @@ func (c *Counters) AddLazyCopy(n int) {
 func (c *Counters) AddEagerCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.eagerCopies++
+	c.s.EagerCopies++
 	if n > 0 {
-		c.bytesMoved += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -222,9 +182,9 @@ func (c *Counters) AddEagerCopy(n int) {
 func (c *Counters) AddPermFlip(pages int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.permFlips++
+	c.s.PermFlips++
 	if pages > 0 {
-		c.pagesFlip += uint64(pages)
+		c.s.PagesFlip += uint64(pages)
 	}
 }
 
@@ -232,42 +192,42 @@ func (c *Counters) AddPermFlip(pages int) {
 func (c *Counters) AddRestart() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.restarts++
+	c.s.Restarts++
 }
 
 // AddDenial records a syscall blocked by a filter.
 func (c *Counters) AddDenial() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.denials++
+	c.s.Denials++
 }
 
 // AddAPICall records one framework API dispatch.
 func (c *Counters) AddAPICall() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.apiCalls++
+	c.s.APICalls++
 }
 
 // AddCheckpoint records one stateful-state checkpoint write.
 func (c *Counters) AddCheckpoint() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.checkpoints++
+	c.s.Checkpoints++
 }
 
 // AddRetry records one supervised re-issue of an API call.
 func (c *Counters) AddRetry() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.retries++
+	c.s.Retries++
 }
 
 // AddDegraded records a partition demoted to in-host direct execution.
 func (c *Counters) AddDegraded() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.degraded++
+	c.s.Degraded++
 }
 
 // AddDegradedCall records an API call served in-host for a degraded
@@ -275,102 +235,33 @@ func (c *Counters) AddDegraded() {
 func (c *Counters) AddDegradedCall() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.degradedCalls++
-}
-
-// AddInjectedFault records one fault fired by the chaos engine.
-func (c *Counters) AddInjectedFault() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.injectedFaults++
-}
-
-// AddShardDrain records one serving shard drained and replaced.
-func (c *Counters) AddShardDrain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.shardDrains++
-}
-
-// AddMigration records one session migrated off a drained shard.
-func (c *Counters) AddMigration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.migrations++
-}
-
-// AddFailedMigration records one migration that could not restore state.
-func (c *Counters) AddFailedMigration() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.failedMigrations++
-}
-
-// AddScaleUp records one shard added to the pool by the control plane.
-func (c *Counters) AddScaleUp() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scaleUps++
-}
-
-// AddScaleDown records one shard retired from the pool by the control plane.
-func (c *Counters) AddScaleDown() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.scaleDowns++
-}
-
-// AddRebalance records one session proactively migrated off a hot shard.
-func (c *Counters) AddRebalance() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rebalances++
+	c.s.DegradedCalls++
 }
 
 // AddBatchedAdmission records one coalesced admission batch of n requests.
 func (c *Counters) AddBatchedAdmission(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.batchedAdmissions++
+	c.s.BatchedAdmissions++
 	if n > 0 {
-		c.batchedRequests += uint64(n)
+		c.s.BatchedRequests += uint64(n)
 	}
 }
 
 // tenantLocked returns tenant t's cell, allocating the map lazily so
 // single-tenant runs never carry it. Caller holds c.mu.
 func (c *Counters) tenantLocked(t int) TenantCounts {
-	if c.tenants == nil {
-		c.tenants = make(map[int]TenantCounts)
+	if c.s.Tenants == nil {
+		c.s.Tenants = make(map[int]TenantCounts)
 	}
-	return c.tenants[t]
-}
-
-// AddRejected records one queue-bound rejection (virtual 503) for tenant t.
-func (c *Counters) AddRejected(t int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rejected++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.tenants[t] = tc
-}
-
-// AddDeadlineShed records one deadline drop for tenant t.
-func (c *Counters) AddDeadlineShed(t int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deadlineShed++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.tenants[t] = tc
+	return c.s.Tenants[t]
 }
 
 // AddDomainSwitch records one protection-key domain entry or exit.
 func (c *Counters) AddDomainSwitch() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainSwitches++
+	c.s.DomainSwitches++
 }
 
 // AddDomainCopy records n bytes physically copied between protection
@@ -378,10 +269,10 @@ func (c *Counters) AddDomainSwitch() {
 func (c *Counters) AddDomainCopy(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainCopies++
+	c.s.DomainCopies++
 	if n > 0 {
-		c.domainCopyBytes += uint64(n)
-		c.bytesMoved += uint64(n)
+		c.s.DomainCopyBytes += uint64(n)
+		c.s.BytesMoved += uint64(n)
 	}
 }
 
@@ -390,9 +281,9 @@ func (c *Counters) AddDomainCopy(n int) {
 func (c *Counters) AddDomainGrant(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.domainGrants++
+	c.s.DomainGrants++
 	if n > 0 {
-		c.domainGrantBytes += uint64(n)
+		c.s.DomainGrantBytes += uint64(n)
 	}
 }
 
@@ -400,53 +291,7 @@ func (c *Counters) AddDomainGrant(n int) {
 func (c *Counters) AddWatchdogTrip() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.watchdogTrips++
-}
-
-// AddRebind records one shard drained to re-bind it at a changed
-// isolation policy.
-func (c *Counters) AddRebind() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rebinds++
-}
-
-// AddQuarantined records one admission refused for a quarantined tenant t.
-func (c *Counters) AddQuarantined(t int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.quarantined++
-	tc := c.tenantLocked(t)
-	tc.Shed++
-	c.tenants[t] = tc
-}
-
-// AddGrayDrain records one shard drained on latency suspicion.
-func (c *Counters) AddGrayDrain() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.grayDrains++
-}
-
-// AddHedge records one hedged secondary launched.
-func (c *Counters) AddHedge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hedges++
-}
-
-// AddHedgeWin records one hedge that completed before its primary.
-func (c *Counters) AddHedgeWin() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hedgeWins++
-}
-
-// AddHedgeCancel records one hedge cancelled because the primary won.
-func (c *Counters) AddHedgeCancel() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hedgeCancels++
+	c.s.WatchdogTrips++
 }
 
 // AddWarmHit records one session visit placed on a shard whose simulated
@@ -454,7 +299,7 @@ func (c *Counters) AddHedgeCancel() {
 func (c *Counters) AddWarmHit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.warmHits++
+	c.s.WarmHits++
 }
 
 // AddColdMiss records one session visit that found a cold cache and paid
@@ -462,7 +307,7 @@ func (c *Counters) AddWarmHit() {
 func (c *Counters) AddColdMiss() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.coldMisses++
+	c.s.ColdMisses++
 }
 
 // AddPartitionSplit records one hot-range split performed by the
@@ -470,7 +315,7 @@ func (c *Counters) AddColdMiss() {
 func (c *Counters) AddPartitionSplit() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.partitionSplits++
+	c.s.PartitionSplits++
 }
 
 // AddHedgeWork records d of virtual service time spent on a hedge
@@ -479,7 +324,7 @@ func (c *Counters) AddHedgeWork(d vclock.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d > 0 {
-		c.hedgeWork += d
+		c.s.HedgeWork += d
 	}
 }
 
@@ -489,46 +334,41 @@ func (c *Counters) AddTenantServed(t int) {
 	defer c.mu.Unlock()
 	tc := c.tenantLocked(t)
 	tc.Served++
-	c.tenants[t] = tc
+	c.s.Tenants[t] = tc
 }
 
-// Snapshot returns a copy of the counters.
+// AddTenantShed records one invocation shed for tenant t: a queue-bound
+// rejection, a deadline drop, or a quarantine refusal.
+func (c *Counters) AddTenantShed(t int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tc := c.tenantLocked(t)
+	tc.Shed++
+	c.s.Tenants[t] = tc
+}
+
+// Snapshot returns a copy of the counters. The event-mirroring fields are
+// read from the log's per-kind counts with the log locked, so they agree
+// with the log by construction.
 func (c *Counters) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var tenants map[int]TenantCounts
-	if len(c.tenants) > 0 {
-		tenants = make(map[int]TenantCounts, len(c.tenants))
-		for t, tc := range c.tenants {
-			tenants[t] = tc
+	s := c.s
+	if len(c.s.Tenants) > 0 {
+		s.Tenants = make(map[int]TenantCounts, len(c.s.Tenants))
+		for t, tc := range c.s.Tenants {
+			s.Tenants[t] = tc
 		}
 	}
-	return Snapshot{
-		IPCCalls: c.ipcCalls, BytesMoved: c.bytesMoved,
-		LazyCopies: c.lazyCopies, EagerCopies: c.eagerCopies,
-		PermFlips: c.permFlips, PagesFlip: c.pagesFlip,
-		Restarts: c.restarts, Denials: c.denials,
-		APICalls: c.apiCalls, Checkpoints: c.checkpoints,
-		Retries: c.retries, Degraded: c.degraded,
-		DegradedCalls: c.degradedCalls, InjectedFaults: c.injectedFaults,
-		ShardDrains: c.shardDrains, Migrations: c.migrations,
-		FailedMigrations: c.failedMigrations,
-		ScaleUps:         c.scaleUps, ScaleDowns: c.scaleDowns,
-		Rebalances: c.rebalances, BatchedAdmissions: c.batchedAdmissions,
-		BatchedRequests: c.batchedRequests,
-		Rejected:        c.rejected, DeadlineShed: c.deadlineShed,
-		Tenants:        tenants,
-		DomainSwitches: c.domainSwitches,
-		DomainCopies:   c.domainCopies, DomainCopyBytes: c.domainCopyBytes,
-		DomainGrants: c.domainGrants, DomainGrantBytes: c.domainGrantBytes,
-		WatchdogTrips: c.watchdogTrips, Rebinds: c.rebinds,
-		Quarantined: c.quarantined,
-		GrayDrains:  c.grayDrains,
-		Hedges:      c.hedges, HedgeWins: c.hedgeWins,
-		HedgeCancels: c.hedgeCancels, HedgeWork: c.hedgeWork,
-		WarmHits: c.warmHits, ColdMisses: c.coldMisses,
-		PartitionSplits: c.partitionSplits,
-	}
+	c.log.mu.Lock()
+	defer c.log.mu.Unlock()
+	n := c.log.counts
+	s.ShardDrains, s.Migrations, s.FailedMigrations = n["drain"], n["migrate"], n["migrate-failed"]
+	s.ScaleUps, s.ScaleDowns, s.Rebalances, s.Rebinds = n["grow"], n["shrink"], n["rebalance"], n["rebind"]
+	s.Hedges, s.HedgeWins, s.HedgeCancels = n["hedge"], n["hedge-win"], n["hedge-cancel"]
+	s.Rejected, s.DeadlineShed, s.Quarantined = n["reject"], n["shed"], n["quarantine"]
+	s.GrayDrains = n["gray-drain"]
+	return s
 }
 
 // LazyFraction returns the share of copy operations that were lazy
@@ -539,14 +379,6 @@ func (s Snapshot) LazyFraction() float64 {
 		return 0
 	}
 	return float64(s.LazyCopies) / float64(total)
-}
-
-// String renders a one-line summary.
-func (s Snapshot) String() string {
-	return fmt.Sprintf("ipc=%d bytes=%d lazy=%d eager=%d flips=%d restarts=%d denials=%d retries=%d degraded=%d degradedCalls=%d injected=%d drains=%d migrations=%d failedMigrations=%d",
-		s.IPCCalls, s.BytesMoved, s.LazyCopies, s.EagerCopies, s.PermFlips, s.Restarts, s.Denials,
-		s.Retries, s.Degraded, s.DegradedCalls, s.InjectedFaults,
-		s.ShardDrains, s.Migrations, s.FailedMigrations)
 }
 
 // Overhead computes the relative slowdown of a protected run against an

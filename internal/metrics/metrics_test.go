@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -24,9 +25,6 @@ func TestCountersAccumulate(t *testing.T) {
 	if s.PermFlips != 1 || s.PagesFlip != 3 || s.Restarts != 1 || s.Denials != 1 ||
 		s.APICalls != 1 || s.Checkpoints != 1 {
 		t.Fatalf("snapshot = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary")
 	}
 }
 
@@ -97,5 +95,87 @@ func TestWarmColdCounters(t *testing.T) {
 	if s.WarmHits != 2 || s.ColdMisses != 1 || s.PartitionSplits != 1 {
 		t.Fatalf("warm/cold counters = %d/%d/%d, want 2/1/1",
 			s.WarmHits, s.ColdMisses, s.PartitionSplits)
+	}
+}
+
+func TestLogCountsAndCopies(t *testing.T) {
+	var l Log
+	if l.Len() != 0 || l.Count("drain") != 0 || len(l.Events()) != 0 {
+		t.Fatal("zero log not empty")
+	}
+	l.Append(Event{Kind: "drain", Detail: "a"})
+	l.Append(Event{Kind: "migrate", Detail: "b"})
+	l.Append(Event{Kind: "drain", Detail: "c"})
+	if l.Len() != 3 || l.Count("drain") != 2 || l.Count("migrate") != 1 || l.Count("grow") != 0 {
+		t.Fatalf("len/counts = %d/%d/%d/%d, want 3/2/1/0",
+			l.Len(), l.Count("drain"), l.Count("migrate"), l.Count("grow"))
+	}
+	evs := l.Events()
+	evs[0].Kind = "mutated"
+	if got := l.Events()[0].Kind; got != "drain" {
+		t.Fatalf("Events aliases the log: first kind now %q", got)
+	}
+	l.Append(Event{Kind: "grow"})
+	if len(evs) != 3 {
+		t.Fatal("a returned copy grew with the log")
+	}
+}
+
+func TestLogConcurrentAppends(t *testing.T) {
+	var l Log
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				l.Append(Event{Shard: i, Kind: []string{"hedge", "hedge-win"}[j%2]})
+				_ = l.Count("hedge")
+				_ = l.Events()
+			}
+		}(i)
+	}
+	wg.Wait()
+	if l.Len() != 1600 || l.Count("hedge") != 800 || l.Count("hedge-win") != 800 {
+		t.Fatalf("len/hedge/win = %d/%d/%d, want 1600/800/800", l.Len(), l.Count("hedge"), l.Count("hedge-win"))
+	}
+}
+
+func TestEventLines(t *testing.T) {
+	shard := Event{At: 1500 * time.Nanosecond, Shard: 2, Gen: 1, Kind: "drain", Detail: "3 failures"}
+	if got, want := shard.String(), "@1.5µs shard 2/gen 1 drain 3 failures"; got != want {
+		t.Fatalf("shard line = %q, want %q", got, want)
+	}
+	tick := Event{At: time.Millisecond, Tick: 4, Kind: "grow", Detail: "pool 2->3"}
+	if got, want := tick.String(), "tick 4 @1ms grow pool 2->3"; got != want {
+		t.Fatalf("tick line = %q, want %q", got, want)
+	}
+	var l Log
+	l.Append(tick)
+	l.Append(shard)
+	want := "tick 4 @1ms grow pool 2->3\n@1.5µs shard 2/gen 1 drain 3 failures\n"
+	if got := l.Render(Event.String); got != want {
+		t.Fatalf("Render = %q, want %q", got, want)
+	}
+}
+
+func TestSnapshotReadsEventCounts(t *testing.T) {
+	c := New()
+	c.Log().Append(Event{Kind: "drain"})
+	c.Log().Append(Event{Kind: "gray-drain"})
+	c.Log().Append(Event{Kind: "drain"})
+	c.Log().Append(Event{Kind: "reject"})
+	c.AddTenantShed(3)
+	c.AddTenantServed(3)
+	s := c.Snapshot()
+	if s.ShardDrains != 2 || s.GrayDrains != 1 || s.Rejected != 1 || s.Migrations != 0 {
+		t.Fatalf("event-derived fields = %+v", s)
+	}
+	if got := s.Tenants[3]; got != (TenantCounts{Served: 1, Shed: 1}) {
+		t.Fatalf("tenant 3 = %+v", got)
+	}
+	s.Tenants[3] = TenantCounts{}
+	if c.Snapshot().Tenants[3].Served != 1 {
+		t.Fatal("Snapshot aliases the tenant map")
 	}
 }

@@ -101,7 +101,7 @@ func MeasureGray(shards, requests, slowShard int, factor float64) ([]GrayResult,
 			}
 			return p
 		}
-		ex, err := core.NewExecutor(shards, core.ChaosShards(reg, cat, core.Default(), planOf))
+		ex, err := core.NewExecutor(shards, core.DynamicShards(reg, cat, core.Default, planOf))
 		if err != nil {
 			return GrayResult{}, nil, err
 		}
