@@ -1,16 +1,23 @@
 # Standard checks for the FreePart reproduction. `make check` is the gate:
 # formatting, vet (the nested perfbench module included), build,
-# race-enabled tests, fixed-seed chaos soaks, one run of every server act,
-# the BENCH drift gate, and the nested perfbench module's tests.
+# race-enabled tests, wire-codec fuzzing, fixed-seed chaos soaks, one run
+# of every server act, the BENCH drift gate, and the nested perfbench
+# module's tests.
 
 GO ?= go
 
-.PHONY: check benchcheck perfbenchtest serversmoke fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
+.PHONY: check fuzz benchcheck perfbenchtest serversmoke fmt vet build test race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak bench serving failover autoscale overload isolation defense gray partition
 
-check: fmt vet build race soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak serversmoke benchcheck perfbenchtest
+check: fmt vet build race fuzz soak shardsoak autoscalesoak overloadsoak isolationsoak defensesoak graysoak partitionsoak serversmoke benchcheck perfbenchtest
 
 # The experiments that write a committed BENCH_<name>.json.
 BENCHES := serving failover autoscale overload isolation defense gray partition
+
+# Wire-codec fuzzing: each decoder target runs for 10 s on top of the seed
+# corpus that plain go test already runs.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCall$$' -fuzztime 10s ./internal/framework/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime 10s ./internal/framework/
 
 # BENCH drift gate: regenerates every committed BENCH_*.json into a temp
 # directory and fails, naming each file, unless every one is byte-identical

@@ -164,15 +164,17 @@ func (a *agent) canonOf(id uint64) uint64 {
 func (a *agent) resolveID(id uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	next, ok := a.remap[id]
+	if !ok || next == id {
+		return id
+	}
 	seen := map[uint64]bool{id: true}
-	for {
-		next, ok := a.remap[id]
-		if !ok || seen[next] {
-			return id
-		}
+	for ok && !seen[next] {
 		seen[next] = true
 		id = next
+		next, ok = a.remap[id]
 	}
+	return id
 }
 
 // serve is the agent's RPC handler: decode a Call, run it in the agent

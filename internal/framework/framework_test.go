@@ -57,56 +57,6 @@ func TestValueConstructors(t *testing.T) {
 	}
 }
 
-func TestCallEncodeDecodeRoundTrip(t *testing.T) {
-	c := Call{
-		API:      "cv.imread",
-		Args:     []Value{Str("/in.png"), Int64(3), Obj(7)},
-		Payloads: [][]byte{nil, nil, {1, 2, 3}},
-	}
-	b, err := EncodeCall(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCall(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.API != c.API || len(got.Args) != 3 || got.Args[0].Str != "/in.png" ||
-		got.Args[2].Obj != 7 || !bytes.Equal(got.Payloads[2], []byte{1, 2, 3}) {
-		t.Fatalf("round trip = %+v", got)
-	}
-}
-
-func TestReplyEncodeDecodeRoundTrip(t *testing.T) {
-	r := Reply{
-		Results:         []Value{Bool(true), Obj(5)},
-		Payloads:        [][]byte{nil, {9}},
-		UpdatedArgs:     []Value{Obj(2)},
-		UpdatedPayloads: [][]byte{{4, 4}},
-	}
-	b, err := EncodeReply(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeReply(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 2 || !got.Results[0].Bool || got.Results[1].Obj != 5 ||
-		!bytes.Equal(got.UpdatedPayloads[0], []byte{4, 4}) {
-		t.Fatalf("round trip = %+v", got)
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := DecodeCall([]byte("junk")); err == nil {
-		t.Fatal("garbage call should fail to decode")
-	}
-	if _, err := DecodeReply([]byte{0xFF}); err == nil {
-		t.Fatal("garbage reply should fail to decode")
-	}
-}
-
 func TestTriggerParse(t *testing.T) {
 	data := Trigger("CVE-2017-12597", []byte("payload"))
 	cve, payload, ok := ParseTrigger(data)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -390,5 +392,20 @@ func TestPipelinedRetrySemanticsPreserved(t *testing.T) {
 	}
 	if *executions != 5 {
 		t.Fatalf("handler ran %d times, want 5 (victim once + 4 bystanders)", *executions)
+	}
+}
+
+// TestSum64MatchesFNV checks the inline checksum against hash/fnv's
+// FNV-1a on random inputs, including the empty one.
+func TestSum64MatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		p := make([]byte, rng.Intn(300))
+		rng.Read(p)
+		h := fnv.New64a()
+		h.Write(p)
+		if got, want := sum64(p), h.Sum64(); got != want {
+			t.Fatalf("sum64(% x) = %#x, want %#x", p, got, want)
+		}
 	}
 }

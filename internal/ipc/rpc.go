@@ -18,7 +18,6 @@ package ipc
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -129,11 +128,16 @@ const (
 	respKindCorrupt
 )
 
-// sum64 is the payload checksum a message carries (FNV-1a).
+// sum64 is the payload checksum a message carries: 64-bit FNV-1a, computed
+// inline so a message costs no hash.Hash64 allocation.
 func sum64(p []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(p)
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range p {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
 }
 
 // serve is the agent side of one delivered request: verify, execute (with

@@ -85,21 +85,24 @@ type Ref struct {
 	Header []byte
 }
 
-// Encode serializes the ref for transfer over a ring buffer.
-func (r Ref) Encode() []byte {
-	buf := make([]byte, 0, 29+len(r.Header))
-	buf = binary.BigEndian.AppendUint32(buf, r.PID)
-	buf = binary.BigEndian.AppendUint64(buf, r.ID)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(r.Size))
-	buf = append(buf, byte(r.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, r.Hash)
-	buf = append(buf, r.Header...)
-	return buf
+// RefFixedLen is the size of an encoded ref without its header.
+const RefFixedLen = 29
+
+// AppendEncode appends the ref's wire form to b: PID, ID, Size, Kind and
+// Hash big-endian in RefFixedLen bytes, then the header bytes.
+func (r Ref) AppendEncode(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, r.PID)
+	b = binary.BigEndian.AppendUint64(b, r.ID)
+	b = binary.BigEndian.AppendUint64(b, uint64(r.Size))
+	b = append(b, byte(r.Kind))
+	b = binary.BigEndian.AppendUint64(b, r.Hash)
+	return append(b, r.Header...)
 }
 
-// DecodeRef parses an encoded ref.
+// DecodeRef parses an encoded ref. An empty header decodes as nil, and the
+// header is copied, so the ref does not alias b.
 func DecodeRef(b []byte) (Ref, error) {
-	if len(b) < 29 {
+	if len(b) < RefFixedLen {
 		return Ref{}, fmt.Errorf("object: short ref (%d bytes)", len(b))
 	}
 	r := Ref{
@@ -109,8 +112,8 @@ func DecodeRef(b []byte) (Ref, error) {
 		Kind: Kind(b[20]),
 		Hash: binary.BigEndian.Uint64(b[21:29]),
 	}
-	if len(b) > 29 {
-		r.Header = append([]byte(nil), b[29:]...)
+	if len(b) > RefFixedLen {
+		r.Header = append([]byte(nil), b[RefFixedLen:]...)
 	}
 	return r, nil
 }

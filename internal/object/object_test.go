@@ -290,7 +290,7 @@ func TestRefEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeRef(ref.Encode())
+	dec, err := DecodeRef(ref.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,15 +117,13 @@ func MeasureOverload(shards, heavy, light, steps int, factors []int) ([]Overload
 			ex.SetAdmission(pol)
 			opt := apps.RampOptions{TolerateShed: true}
 			if policy == "wfq" {
-				// Quantum = 1.25 calibrated service times. The quantum sets
-				// how hard the finish clocks bend the arrival order: too
-				// small and extreme overload degenerates to FIFO
-				// (proportional shedding); above ~4/3 of the per-shard
-				// arrival spacing the clocks reorder even an idle pool,
-				// wasting inter-arrival slack as idle time and shedding at
-				// 1x. 5/4 sits inside that window — at 1x the order is
-				// exactly the arrival order (zero cost), under overload the
-				// clocks dominate and the split converges on fair share.
+				// Quantum = 1.25 calibrated service times. Above ~4/3 of
+				// the per-shard arrival spacing the clocks reorder even an
+				// idle pool, wasting inter-arrival slack as idle time and
+				// shedding at 1x; at 5/4 the 1x order is exactly the
+				// arrival order (zero cost). Under overload WFQ charges
+				// the quantum times the tenants sharing the slot, so the
+				// split converges on fair share at any factor.
 				opt.Orderer = &sched.WFQ{Quantum: 5 * stepCost / 4}
 			}
 			results := srv.ServeRampOpts(streams, opt)

@@ -39,6 +39,16 @@ const defaultLeadCap = 8
 // received and collapse into strict priority for the light one. The
 // serving harness reports outcomes through Observe after each wave.
 //
+// The charge scales with contention. Clocks re-anchor at arrival, so they
+// only steer the order while a tenant's served rate times its charge
+// outruns real time; a flat quantum q would bound a tenant only above 1/q
+// of a slot's capacity, far past its fair share when q is near one
+// service time. A wave that shed anything therefore charges q·W/w, where
+// W sums the weights of the tenants in the wave: that is the tenant's
+// fair service interval, so every tenant served above its weighted share
+// runs ahead of real time and sorts behind the others. A wave that shed
+// nothing charges q/w and leaves underload ordering untouched.
+//
 // State is keyed by (shard slot, tenant), and each slot's queue drains on
 // one goroutine per wave, so orderings replay deterministically; the mutex
 // only guards the map against concurrent access from different slots.
@@ -121,7 +131,8 @@ func (q *WFQ) Order(slot int, entries []core.BatchEntry) []int {
 
 // Observe feeds one wave's admission outcomes back (entries and errs in
 // served order): every entry that was actually admitted — anything but an
-// overload shed — charges its tenant quantum/weight, and finish clocks are
+// overload shed — charges its tenant quantum/weight, times the wave's
+// total tenant weight when the wave shed anything, and finish clocks are
 // then clamped to the slowest active tenant's plus the lead cap. Shed
 // entries consumed no capacity and charge nothing.
 func (q *WFQ) Observe(slot int, entries []core.BatchEntry, errs []error) {
@@ -131,10 +142,20 @@ func (q *WFQ) Observe(slot int, entries []core.BatchEntry, errs []error) {
 		q.finish = make(map[slotTenant]vclock.Duration)
 	}
 	active := make(map[int]bool)
+	shares, contended := vclock.Duration(0), false
 	for i, en := range entries {
 		tenant, weight := tenantOf(en)
-		active[tenant] = true
-		if i < len(errs) && (errors.Is(errs[i], core.ErrOverloaded) || errors.Is(errs[i], core.ErrDeadlineExceeded)) {
+		if !active[tenant] {
+			active[tenant] = true
+			shares += vclock.Duration(weight)
+		}
+		if i < len(errs) && isShed(errs[i]) {
+			contended = true
+		}
+	}
+	for i, en := range entries {
+		tenant, weight := tenantOf(en)
+		if i < len(errs) && isShed(errs[i]) {
 			continue
 		}
 		key := slotTenant{slot: slot, tenant: tenant}
@@ -146,7 +167,11 @@ func (q *WFQ) Observe(slot int, entries []core.BatchEntry, errs []error) {
 		if arrival > start {
 			start = arrival
 		}
-		q.finish[key] = start + q.quantum()/vclock.Duration(weight)
+		charge := q.quantum()
+		if contended {
+			charge *= shares
+		}
+		q.finish[key] = start + charge/vclock.Duration(weight)
 	}
 	if len(active) < 2 {
 		return
@@ -180,4 +205,9 @@ func (q *WFQ) Reset() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.finish = nil
+}
+
+// isShed reports whether an admission outcome was an overload shed.
+func isShed(err error) bool {
+	return errors.Is(err, core.ErrOverloaded) || errors.Is(err, core.ErrDeadlineExceeded)
 }

@@ -98,6 +98,23 @@ func TestWFQChargesServiceNotDemand(t *testing.T) {
 	}
 }
 
+// TestWFQContendedWaveChargesFairInterval pins the contention charge: in a
+// wave that shed anything, a served request charges the quantum times the
+// wave's total tenant weight (here 2 tenants: 20), so the served tenant's
+// clock outruns real time and the shed tenant sorts first later on. A flat
+// charge of 10 would tie both at arrival 15 and keep the served tenant
+// (index 0) ahead.
+func TestWFQContendedWaveChargesFairInterval(t *testing.T) {
+	q := &sched.WFQ{Quantum: 10}
+	wave := []core.BatchEntry{entry(1, 1, 0), entry(2, 1, 0)}
+	q.Observe(0, wave, []error{core.ErrOverloaded, nil})
+
+	got := q.Order(0, []core.BatchEntry{entry(2, 1, 15), entry(1, 1, 15)})
+	if !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Fatalf("order = %v, want [1 0] (served tenant charged its fair interval)", got)
+	}
+}
+
 // TestWFQLeadCapBoundsHandicap pins the clamp: a tenant's finish clock may
 // run at most LeadCap quanta ahead of the slowest active tenant, so a
 // service-rich history cannot bank an unbounded penalty.
