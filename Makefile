@@ -1,8 +1,8 @@
 # Standard checks for the FreePart reproduction. `make check` is the gate:
 # formatting, vet (the nested perfbench module included), build,
 # race-enabled tests, wire-codec fuzzing, fixed-seed chaos soaks, one run
-# of every server act, the BENCH drift gate, and the nested perfbench
-# module's tests.
+# of every server act, the BENCH and paper-table drift gate, and the
+# nested perfbench module's tests.
 
 GO ?= go
 
@@ -19,9 +19,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCall$$' -fuzztime 10s ./internal/framework/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReply$$' -fuzztime 10s ./internal/framework/
 
-# BENCH drift gate: regenerates every committed BENCH_*.json into a temp
-# directory and fails, naming each file, unless every one is byte-identical
-# to the committed copy.
+# Drift gate: regenerates every committed BENCH_*.json into a temp
+# directory, and the full experiments run (every paper table and figure,
+# about 15 s), and fails, naming each file, unless every one is
+# byte-identical to the committed copy.
 benchcheck:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/experiments" ./cmd/experiments || exit 1; \
@@ -30,7 +31,9 @@ benchcheck:
 		"$$tmp/experiments" -exp $$b -json "$$tmp/BENCH_$$b.json" >/dev/null || { echo "benchcheck: $$b failed to run"; fail=1; continue; }; \
 		cmp "$$tmp/BENCH_$$b.json" BENCH_$$b.json || { echo "benchcheck: BENCH_$$b.json drifted; regenerate with make $$b"; fail=1; }; \
 	done; \
-	[ $$fail -eq 0 ] && echo "benchcheck: all BENCH files byte-identical"
+	"$$tmp/experiments" >"$$tmp/experiments_output.txt" || { echo "benchcheck: experiments failed to run"; fail=1; }; \
+	cmp "$$tmp/experiments_output.txt" experiments_output.txt || { echo "benchcheck: experiments_output.txt drifted; regenerate with go run ./cmd/experiments"; fail=1; }; \
+	[ $$fail -eq 0 ] && echo "benchcheck: all BENCH files and experiments_output.txt byte-identical"
 
 # The nested perfbench module's tests (about 70 s): its bit-equality gates
 # pin the virtual metrics a metrics or core change could silently move,

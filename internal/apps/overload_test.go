@@ -51,7 +51,7 @@ func TestZeroCostGuardServing(t *testing.T) {
 		if explicitZero {
 			ex.SetAdmission(core.AdmissionPolicy{})
 		}
-		res := srv.ServeRampOpts(streams, opt)
+		res := srv.ServeRamp(streams, opt)
 		return run{res, ex.Latencies().P50(), ex.Latencies().P99(), ex.CriticalPath(), ex.Metrics().Log().Len()}
 	}
 
@@ -115,7 +115,7 @@ func TestShedPurityCheckpointLog(t *testing.T) {
 
 	ex, srv := newTrackingPool(t, shards)
 	ex.SetAdmission(core.AdmissionPolicy{QueueLimit: 2, Deadline: 2 * stepCost})
-	results := srv.ServeRampOpts(streams, apps.RampOptions{
+	results := srv.ServeRamp(streams, apps.RampOptions{
 		TolerateShed: true,
 		Orderer:      &sched.WFQ{Quantum: 5 * stepCost / 4},
 	})

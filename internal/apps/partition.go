@@ -80,7 +80,7 @@ func (c PartitionConfig) touch(ex *core.Executor, sh *core.Shard, key uint64) {
 // but opens each request's session with a session key (keys[i] — the
 // returning user's stable identity) and runs the partition plane's
 // warm/cold bookkeeping on every landing. With a disabled config and no
-// keyed placement hook installed, the run is bit-identical to ServeSeq:
+// placement hook installed, the run is bit-identical to ServeSeq:
 // clocks, events, metrics, and injection logs all match, which is the
 // zero-cost guard the partition soak pins down.
 func (srv *DetectionServer) ServeSeqKeyed(reqs []DetectionRequest, keys []uint64, cfg PartitionConfig) []DetectionResult {

@@ -171,10 +171,10 @@ func (srv *DetectionServer) Serve(reqs []DetectionRequest) []DetectionResult {
 // on the calling goroutine. Sessions are opened exactly as Serve opens
 // them (request order, round-robin placement), so the only difference is
 // scheduling: no two requests are ever in flight at once. That total order
-// is what the gray-failure campaign and soaks need — with hedging or live
-// pool-median suspicion scoring enabled, shards read each other's state,
-// and only a sequential schedule makes those cross-shard reads (and the
-// chaos draws behind them) a pure function of the request list. The
+// is what the gray-failure campaign and soaks need — with hedging enabled,
+// a request reads the other shards' clocks and suspicion state to pick its
+// secondary, and only a sequential schedule makes those cross-shard reads
+// (and the chaos draws behind them) a pure function of the request list. The
 // executor spawns no goroutines of its own, so under ServeSeq the entire
 // run is deterministic end to end, cross-shard couplings included.
 func (srv *DetectionServer) ServeSeq(reqs []DetectionRequest) []DetectionResult {

@@ -251,8 +251,8 @@ type AdmissionObserver interface {
 	Observe(slot int, entries []core.BatchEntry, errs []error)
 }
 
-// RampOptions configures ServeRampOpts. The zero value reproduces
-// ServeRamp(streams, nil, nil) exactly.
+// RampOptions configures ServeRamp. The zero value runs the plain ramp:
+// no control plane, no batching, arrival-order admission.
 type RampOptions struct {
 	// Ticker runs at every wave barrier (the control plane).
 	Ticker Ticker
@@ -271,23 +271,16 @@ type RampOptions struct {
 // every stream active at w, with a full barrier between waves. Sessions
 // open lazily at their stream's join wave (in stream order, so placement
 // is deterministic), finished streams release their sessions via Finish,
-// and ctl.Tick — when a controller is attached — runs at each barrier,
+// and opt.Ticker — when a controller is attached — runs at each barrier,
 // where no invocation is in flight and pool state is a pure function of
 // the work done. Within a wave each shard slot drains its queue on its own
-// goroutine in stream order; a batcher coalesces that queue through
-// DoBatch. The slot-per-goroutine invariant survives chaos: failover
-// replaces a shard in its own slot, and control-plane migrations happen
-// only at barriers, so no two goroutines ever contend for one shard's
-// clock mid-wave — which is what keeps the controller's barrier reads, and
-// its event log, byte-reproducible.
-func (srv *TrackingServer) ServeRamp(streams []TrackStream, ctl Ticker, batcher AdmissionBatcher) []TrackResult {
-	return srv.ServeRampOpts(streams, RampOptions{Ticker: ctl, Batcher: batcher})
-}
-
-// ServeRampOpts is ServeRamp with the full option set: admission ordering
-// (WFQ) and shed tolerance for overload runs. Zero options reproduce the
-// plain ramp bit for bit.
-func (srv *TrackingServer) ServeRampOpts(streams []TrackStream, opt RampOptions) []TrackResult {
+// goroutine in stream order (or the orderer's order); a batcher coalesces
+// that queue through DoBatch. The slot-per-goroutine invariant survives
+// chaos: failover replaces a shard in its own slot, and control-plane
+// migrations happen only at barriers, so no two goroutines ever contend
+// for one shard's clock mid-wave — which is what keeps the controller's
+// barrier reads, and its event log, byte-reproducible.
+func (srv *TrackingServer) ServeRamp(streams []TrackStream, opt RampOptions) []TrackResult {
 	results := make([]TrackResult, len(streams))
 	sessions := make([]*core.Session, len(streams))
 	waves := 0

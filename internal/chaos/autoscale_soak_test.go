@@ -37,10 +37,10 @@ func autoscaleRun(t *testing.T, seed int64, streams []apps.TrackStream) ([]apps.
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 	srv := apps.ProvisionTracking(ex)
 	ctl := sched.New(ex, sched.DefaultPolicy(2, 6), nil)
-	results := srv.ServeRamp(streams, ctl, ctl.Batch())
+	results := srv.ServeRamp(streams, apps.RampOptions{Ticker: ctl, Batcher: ctl.Batch()})
 	// Idle drain-out: the service keeps reconciling after the last stream
 	// finishes, which is where the pool folds back to its floor.
 	for i := 0; i < 6; i++ {
@@ -70,7 +70,7 @@ func TestAutoscaleSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(bex.Close)
-	baseline := apps.ProvisionTracking(bex).ServeRamp(streams, nil, nil)
+	baseline := apps.ProvisionTracking(bex).ServeRamp(streams, apps.RampOptions{})
 	for i, r := range baseline {
 		if r.Err != nil {
 			t.Fatalf("baseline stream %d: %v", i, r.Err)

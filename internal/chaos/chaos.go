@@ -47,7 +47,7 @@ type Engine struct {
 	// Kind its "site/kind" — site "kernel", "ipc", "mem", "supervisor", or
 	// "degrade" (the gray-failure service-time channel); kind "crash",
 	// "transient", "stall", "drop", "dup", "corrupt", "fault", "degrade"
-	// or, on the gray-failure site, "slow", "gray-stall", "brownout".
+	// or, on the gray-failure site, "slow" and "gray-stall".
 	log metrics.Log
 }
 
@@ -221,19 +221,17 @@ func (e *Engine) messageFault(dir string, seq uint64) ipc.MessageFault {
 }
 
 // ServiceDegradation returns the extra virtual time the gray-failure
-// channel charges for one invocation that started at shard time start and
-// ran for service. The serving executor calls it once per completed
-// invocation and advances the shard clock by the return value, so a
-// degraded shard is alive but slow — the failure mode the crash channels
-// cannot express.
+// channel charges for one invocation that ran for service. The serving
+// executor calls it once per completed invocation and advances the shard
+// clock by the return value, so a degraded shard is alive but slow — the
+// failure mode the crash channels cannot express.
 //
-// Determinism: the persistent and brownout components are pure functions
-// of (start, service); only an intermittent-stall draw consumes the
-// engine's PRNG, and only when StallProb > 0. A zero profile returns 0
-// without taking randomness or logging, so plans without a Degrade profile
-// leave the decision stream — and therefore every existing replay — byte
-// identical.
-func (e *Engine) ServiceDegradation(start, service vclock.Duration) vclock.Duration {
+// Determinism: the persistent component is a pure function of service;
+// only an intermittent-stall draw consumes the engine's PRNG, and only
+// when StallProb > 0. A zero profile returns 0 without taking randomness
+// or logging, so plans without a Degrade profile leave the decision
+// stream — and therefore every existing replay — byte identical.
+func (e *Engine) ServiceDegradation(service vclock.Duration) vclock.Duration {
 	d := e.plan.Degrade
 	if !d.active() || service <= 0 {
 		return 0
@@ -241,13 +239,9 @@ func (e *Engine) ServiceDegradation(start, service vclock.Duration) vclock.Durat
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var extra vclock.Duration
-	if f := d.factorAt(start); f > 1 {
+	if f := d.Factor; f > 1 {
 		extra = vclock.Duration(float64(service) * (f - 1))
-		kind := "slow"
-		if d.BrownoutSlope > 0 && start > d.BrownoutAfter {
-			kind = "brownout"
-		}
-		e.record("degrade", kind, fmt.Sprintf("service %v x%.2f +%v", service, f, extra))
+		e.record("degrade", "slow", fmt.Sprintf("service %v x%.2f +%v", service, f, extra))
 	}
 	if d.StallProb > 0 && e.rng.Float64() < d.StallProb {
 		extra += d.Stall
@@ -266,9 +260,6 @@ func (e *Engine) MemFault(procName string, addr mem.Addr, kind mem.AccessKind) e
 	defer e.mu.Unlock()
 	mp := e.plan.Mem
 	if mp.FaultProb <= 0 || kind != mem.AccessWrite || !e.targets(procName) {
-		return nil
-	}
-	if mp.Page != 0 && addr.PageIndex() != mp.Page {
 		return nil
 	}
 	if e.rng.Float64() < mp.FaultProb {

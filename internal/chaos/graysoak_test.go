@@ -48,7 +48,7 @@ func graySoakRun(t *testing.T, seed int64, crashShard, slowShard int) ([]apps.De
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 	srv, err := apps.ProvisionDetection(ex)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,7 @@ func tieredTrackRun(t *testing.T, seed int64, crashShard int) ([]apps.TrackResul
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 	srv := apps.ProvisionTracking(ex)
 	return srv.ServeStreams(apps.GenTrackStreams(21, 8, 6)), ex
 }

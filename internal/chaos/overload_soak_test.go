@@ -38,11 +38,11 @@ func overloadRun(t *testing.T, seed int64, streams []apps.TrackStream, pol core.
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 	// Spread each tenant across the pool: the default round-robin aliases
 	// with the even tenant interleave and would pin every light stream to
 	// one shard — one shard failure would then read as tenant starvation.
-	ex.SetPlacement(func(session int, pool []core.PlacementInfo) int {
+	ex.SetPlacement(func(session int, _ uint64, _ bool, pool []core.PlacementInfo) int {
 		return sched.TenantSpread{}.Place(session, pool)
 	})
 	srv := apps.ProvisionTracking(ex)
@@ -52,7 +52,7 @@ func overloadRun(t *testing.T, seed int64, streams []apps.TrackStream, pol core.
 		ex.Shard(i).K.Clock.Reset()
 	}
 	ex.SetAdmission(pol)
-	results := srv.ServeRampOpts(streams, apps.RampOptions{
+	results := srv.ServeRamp(streams, apps.RampOptions{
 		TolerateShed: true,
 		Orderer:      &sched.WFQ{Quantum: quantum},
 	})

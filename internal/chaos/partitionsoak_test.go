@@ -44,7 +44,7 @@ func partitionSoakRun(t *testing.T, seed int64, crashShard int) ([]apps.Detectio
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 
 	const users = 24
 	meta := partition.New(partition.Range, 4, users)
@@ -184,7 +184,7 @@ func TestPartitionZeroCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(ex.Close)
-		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 		srv, err := apps.ProvisionDetection(ex)
 		if err != nil {
 			t.Fatal(err)

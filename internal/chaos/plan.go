@@ -50,15 +50,12 @@ type IPCPlan struct {
 // inflates the virtual service time of every invocation run on its shard,
 // which is exactly how a gray machine presents to a serving fleet: it
 // passes every crash-window health check while silently poisoning the
-// pool's tail latency. Three profiles compose:
+// pool's tail latency. Two profiles compose:
 //
 //   - persistent slowdown: Factor multiplies every invocation's service
 //     time (a thermally throttled or half-broken machine);
 //   - intermittent stalls: with StallProb an invocation is charged Stall
-//     extra virtual time (a flaky disk or GC-pausing neighbour);
-//   - progressive brownout: past BrownoutAfter on the shard clock the
-//     effective factor grows by BrownoutSlope per virtual millisecond (a
-//     machine sliding into failure), capped at MaxFactor.
+//     extra virtual time (a flaky disk or GC-pausing neighbour).
 //
 // The zero value is inert: no randomness is consumed and no time is
 // charged, so plans without a degradation profile stay byte-identical to
@@ -72,35 +69,11 @@ type DegradePlan struct {
 	StallProb float64
 	// Stall is the virtual time one intermittent stall charges.
 	Stall vclock.Duration
-	// BrownoutAfter is the shard virtual time progressive brownout starts;
-	// meaningful only with BrownoutSlope > 0.
-	BrownoutAfter vclock.Duration
-	// BrownoutSlope grows the effective factor by this much per virtual
-	// millisecond past BrownoutAfter. 0 disables brownout.
-	BrownoutSlope float64
-	// MaxFactor caps the effective factor (brownout included); 0 means
-	// uncapped.
-	MaxFactor float64
 }
 
 // active reports whether the profile charges anything.
 func (d DegradePlan) active() bool {
-	return d.Factor > 1 || d.StallProb > 0 || d.BrownoutSlope > 0
-}
-
-// factorAt returns the effective slowdown multiplier at shard time t.
-func (d DegradePlan) factorAt(t vclock.Duration) float64 {
-	f := d.Factor
-	if f < 1 {
-		f = 1
-	}
-	if d.BrownoutSlope > 0 && t > d.BrownoutAfter {
-		f += d.BrownoutSlope * float64(t-d.BrownoutAfter) / float64(time.Millisecond)
-	}
-	if d.MaxFactor > 0 && f > d.MaxFactor {
-		f = d.MaxFactor
-	}
-	return f
+	return d.Factor > 1 || d.StallProb > 0
 }
 
 // MemPlan configures spurious memory faults inside agent address spaces.
@@ -109,9 +82,6 @@ type MemPlan struct {
 	// (a stray hardware fault or latent memory bug); the access is denied
 	// and the owning agent crashes.
 	FaultProb float64
-	// Page, when non-zero, restricts injection to accesses touching that
-	// page index.
-	Page uint64
 }
 
 // Plan is the full, seeded fault-injection configuration. Two engines built

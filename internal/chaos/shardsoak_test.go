@@ -55,7 +55,7 @@ func shardedTrackRun(t *testing.T, seed int64, crashShard int) ([]apps.TrackResu
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 	srv := apps.ProvisionTracking(ex)
 	return srv.ServeStreams(apps.GenTrackStreams(21, 8, 6)), ex
 }

@@ -79,18 +79,12 @@ type Config struct {
 
 	// OnAnomaly, when set, receives DoS resource-watchdog reports for
 	// partitions that share the host's fate (domain and host tiers): an
-	// invocation that killed the host process (kind "host-crash") or
-	// overran WatchdogBudget on the virtual clock (kind "budget"). The
+	// invocation that killed the host process (kind "host-crash"). The
 	// hook observes only — it advances no clock and mutates no runtime
 	// state — so a nil hook is bit-identical to not having a watchdog.
 	// Process-tier partitions are never reported: their crashes are
 	// already contained by the restart supervisor.
 	OnAnomaly func(t framework.APIType, api, kind, detail string)
-	// WatchdogBudget bounds the virtual time one non-process-tier
-	// invocation may consume before the watchdog flags it as a resource-
-	// exhaustion anomaly. 0 disables the budget check (host-crash
-	// detection still fires whenever OnAnomaly is set).
-	WatchdogBudget vclock.Duration
 }
 
 // Default returns the paper's standard configuration: four type-based

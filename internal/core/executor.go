@@ -59,7 +59,7 @@ type Shard struct {
 	hm       sync.Mutex
 	failed   bool
 	reason   string
-	failures []vclock.Duration
+	failures int
 }
 
 // Clock returns the shard's virtual clock.
@@ -108,23 +108,12 @@ func (s *Shard) fail(reason string) bool {
 	return true
 }
 
-// recordFailure logs a crash-class failure at virtual time now and returns
-// how many failures fall inside the trailing window (0 = unbounded),
-// mirroring the PR-1 circuit breaker's restart window one level up.
-func (s *Shard) recordFailure(now, window vclock.Duration) int {
+// recordFailure counts a crash-class failure and returns the shard's total.
+func (s *Shard) recordFailure() int {
 	s.hm.Lock()
 	defer s.hm.Unlock()
-	s.failures = append(s.failures, now)
-	if window > 0 {
-		keep := s.failures[:0]
-		for _, t := range s.failures {
-			if now-t <= window {
-				keep = append(keep, t)
-			}
-		}
-		s.failures = keep
-	}
-	return len(s.failures)
+	s.failures++
+	return s.failures
 }
 
 // workerSem is a resizable counting semaphore bounding concurrent
@@ -256,16 +245,12 @@ func DirectShards(reg *framework.Registry) ShardFactory {
 // way.
 type HealthPolicy struct {
 	// FailThreshold drains a shard after this many crash-class invocation
-	// failures (agent crash, dead peer, timeout, dead host) inside
-	// FailWindow. 0 disables the failure counter.
+	// failures (agent crash, dead peer, timeout, dead host). Any threshold
+	// also drains a shard as soon as its runtime's circuit breaker has
+	// demoted a partition to in-host execution: replacement restores full
+	// isolation instead of serving without it indefinitely. 0 disables
+	// both.
 	FailThreshold int
-	// FailWindow is the trailing virtual-time window failures are counted
-	// over on the shard clock; 0 means unbounded.
-	FailWindow vclock.Duration
-	// DrainOnDegrade drains a shard as soon as its runtime's circuit
-	// breaker has demoted any partition to in-host execution: replacement
-	// restores full isolation instead of serving without it indefinitely.
-	DrainOnDegrade bool
 }
 
 // Executor is the concurrent serving layer: a bounded worker pool over n
@@ -305,8 +290,7 @@ type Executor struct {
 	admit     AdmissionPolicy
 	gate      AdmissionGate
 	onReplace func(*Shard) error
-	place     func(session int, pool []PlacementInfo) int
-	placeKey  func(session int, key uint64, pool []PlacementInfo) int
+	place     func(session int, key uint64, keyed bool, pool []PlacementInfo) int
 	// pinned and tpinned are incremental unfinished-session counts per pool
 	// slot (total, and per tenant per slot). They replace the per-open scan
 	// over every session — at tens of thousands of sessions the scan made
@@ -618,26 +602,15 @@ func (e *Executor) TotalWork() vclock.Duration {
 }
 
 // SetPlacement installs a pluggable placement hook for new sessions: given
-// the session id and a snapshot of the live pool, it returns the shard slot
+// the session id, its session key (keyed is false for keyless opens, whose
+// key reads 0) and a snapshot of the live pool, it returns the shard slot
 // to pin to. Nil (the default) keeps round-robin by open order — the
 // n=1-bit-identical policy every experiment before the control plane used.
 // An out-of-range return falls back to round-robin.
-func (e *Executor) SetPlacement(fn func(session int, pool []PlacementInfo) int) {
+func (e *Executor) SetPlacement(fn func(session int, key uint64, keyed bool, pool []PlacementInfo) int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.place = fn
-}
-
-// SetKeyedPlacement installs the placement hook consulted for sessions
-// opened with a session key (SessionKeyed): it additionally sees the key,
-// so a partition-aware placer can score warm-cache affinity. Keyless opens
-// never consult it; keyed opens fall back to the plain hook (then
-// round-robin) when it is nil or declines — so with no keyed hook
-// installed, SessionKeyed is bit-identical to SessionFor.
-func (e *Executor) SetKeyedPlacement(fn func(session int, key uint64, pool []PlacementInfo) int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.placeKey = fn
 }
 
 // placementPoolLocked snapshots the live pool for a placement decision made
@@ -702,9 +675,9 @@ func (e *Executor) SessionFor(tenant, weight int) *Session {
 }
 
 // SessionKeyed opens a session carrying a stable session key — the identity
-// a returning user keeps across visits. Placement consults the keyed hook
-// first (SetKeyedPlacement), then the plain hook, then round-robin; with no
-// keyed hook installed the open is bit-identical to SessionFor.
+// a returning user keeps across visits. The placement hook sees the key, so
+// a partition-aware placer can score warm-cache affinity; with no hook
+// installed the open is bit-identical to SessionFor.
 func (e *Executor) SessionKeyed(tenant, weight int, key uint64) *Session {
 	return e.open(tenant, weight, key, true)
 }
@@ -717,14 +690,8 @@ func (e *Executor) open(tenant, weight int, key uint64, keyed bool) *Session {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := len(e.sessions) % len(e.shards)
-	placed := false
-	if keyed && e.placeKey != nil {
-		if p := e.placeKey(len(e.sessions), key, e.placementPoolLocked(tenant)); p >= 0 && p < len(e.shards) {
-			id, placed = p, true
-		}
-	}
-	if !placed && e.place != nil {
-		if p := e.place(len(e.sessions), e.placementPoolLocked(tenant)); p >= 0 && p < len(e.shards) {
+	if e.place != nil {
+		if p := e.place(len(e.sessions), key, keyed, e.placementPoolLocked(tenant)); p >= 0 && p < len(e.shards) {
 			id = p
 		}
 	}
@@ -799,7 +766,7 @@ func (e *Executor) Close() {
 
 // isCrashClass reports whether a job error means the shard (or an agent on
 // it) died rather than the application failing: the failures the shard
-// health window counts.
+// health policy counts.
 func isCrashClass(err error, sh *Shard) bool {
 	if err == nil {
 		return false
@@ -1384,7 +1351,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 	e := s.ex
 	e.applyScheduledKill(sh)
 	pol := e.healthPolicy()
-	if !sh.Failed() && pol.DrainOnDegrade && sh.Rt != nil && sh.Rt.Metrics.Snapshot().Degraded > 0 {
+	if !sh.Failed() && pol.FailThreshold > 0 && sh.Rt != nil && sh.Rt.Metrics.Snapshot().Degraded > 0 {
 		sh.fail("partition degraded to in-host execution")
 	}
 	if sh.Failed() {
@@ -1434,7 +1401,7 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 	// longer — the engine inflates this invocation's virtual service time
 	// without failing anything, which is what makes the failure gray.
 	if eng := sh.Chaos(); eng != nil {
-		if extra := eng.ServiceDegradation(svcStart, end-svcStart); extra > 0 {
+		if extra := eng.ServiceDegradation(end - svcStart); extra > 0 {
 			sh.K.Clock.Advance(extra)
 			end = sh.K.Clock.Now()
 		}
@@ -1443,8 +1410,8 @@ func (s *Session) runLocked(sh *Shard, arrival *vclock.Duration, job func(sh *Sh
 
 	crashed := isCrashClass(jerr, sh)
 	if crashed && pol.FailThreshold > 0 {
-		if n := sh.recordFailure(end, pol.FailWindow); n >= pol.FailThreshold {
-			sh.fail(fmt.Sprintf("%d crash-class failures in window", n))
+		if n := sh.recordFailure(); n >= pol.FailThreshold {
+			sh.fail(fmt.Sprintf("%d crash-class failures", n))
 		}
 	}
 	if crashed && sh.Failed() {
@@ -1474,14 +1441,13 @@ type BatchEntry struct {
 }
 
 // DoBatch admits a coalesced batch of invocations as one unit: one
-// worker-pool slot for the whole batch, and one shard-lock acquisition per
-// run of consecutive entries pinned to the same shard — amortizing the
-// per-invocation semaphore and lock traffic that streams of small requests
-// otherwise pay. Entries execute in order; each keeps its own arrival stamp
-// and records its own latency and queue wait, so batching changes admission
-// cost, not measured semantics. Failover semantics match DoAt: a shard lost
-// mid-batch fails over once and the remaining entries re-run on the
-// replacement. Returns one error per entry.
+// worker-pool slot for the whole batch, amortizing the per-invocation
+// semaphore traffic that streams of small requests otherwise pay. Entries
+// execute in order, each through the path DoAt takes — its own arrival
+// stamp, latency and queue wait, failover included — so batching changes
+// admission cost, not measured semantics. Batch entries never hedge. If a
+// failover fails, the entry that hit it and every entry after it return
+// the failover error. Returns one error per entry.
 func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	errs := make([]error, len(entries))
 	if len(entries) == 0 {
@@ -1490,45 +1456,16 @@ func (e *Executor) DoBatch(entries []BatchEntry) []error {
 	e.sem.acquire()
 	defer e.sem.release()
 	e.met.AddBatchedAdmission(len(entries))
-
-	// Stampedness must be read before admission resolves closed-loop
-	// arrivals in place.
-	stamped := make([]bool, len(entries))
 	for i := range entries {
-		stamped[i] = entries[i].Arrival >= 0
-	}
-	next := 0
-	for next < len(entries) {
-		s := entries[next].Session
-		sh := s.currentShard()
-		sh.mu.Lock()
-		if sh != s.currentShard() {
-			sh.mu.Unlock()
-			continue
-		}
-		// Serve as many consecutive entries pinned to sh as possible under
-		// this one lock hold.
-		for next < len(entries) {
-			en := &entries[next]
-			if en.Session.currentShard() != sh {
-				break
+		en := &entries[i]
+		sh, _, _, err := en.Session.runPrimary(&en.Arrival, en.Job, en.Arrival >= 0, true)
+		if sh == nil {
+			for ; i < len(entries); i++ {
+				errs[i] = err
 			}
-			done, _, _, err := en.Session.runLocked(sh, &en.Arrival, en.Job, stamped[next], true)
-			if !done {
-				break
-			}
-			errs[next] = err
-			next++
+			break
 		}
-		failed := sh.Failed()
-		sh.mu.Unlock()
-		if failed {
-			if ferr := e.failover(sh); ferr != nil {
-				for ; next < len(entries); next++ {
-					errs[next] = ferr
-				}
-			}
-		}
+		errs[i] = err
 	}
 	return errs
 }

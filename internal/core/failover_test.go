@@ -325,7 +325,7 @@ func TestKillShardReplacesAndLogsEvents(t *testing.T) {
 	}
 }
 
-// TestHealthPolicyFailThreshold checks the failure window: crash-class
+// TestHealthPolicyFailThreshold checks the failure threshold: crash-class
 // errors surfacing from jobs trip the threshold, the shard drains, and the
 // failing invocation re-runs on the replacement so the caller sees success.
 func TestHealthPolicyFailThreshold(t *testing.T) {
@@ -335,7 +335,7 @@ func TestHealthPolicyFailThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(ex.Close)
-	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 2, FailWindow: time.Second})
+	ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 2})
 	s := ex.Session()
 
 	// First crash-class failure: under threshold, error surfaces.

@@ -42,21 +42,30 @@ func grayEventKinds(ex *core.Executor, kinds ...string) []string {
 }
 
 // TestGraySuspicionDrain walks a slow shard through the scorer's whole arc:
-// below MinSamples nothing is judged, then the shard turns suspect, accrues
-// suspicion per slow completion, and at DrainScore is drained through the
-// ordinary failover path — replacement shard, migrated session, and a
-// "gray-drain" event paired with the GrayDrains counter.
+// below GrayMinSamples nothing is judged, then the shard turns suspect,
+// accrues one unit of suspicion per slow completion, and at GrayDrainScore
+// is drained through the ordinary failover path — replacement shard,
+// migrated session, and a "gray-drain" event paired with the GrayDrains
+// counter.
 func TestGraySuspicionDrain(t *testing.T) {
 	ex := newExecutor(t, 2, core.Default())
-	ex.SetGray(core.GrayPolicy{
-		Ratio: 2, Baseline: ms, MinSamples: 2, Rise: 1, DrainScore: 2,
-	})
+	ex.SetGray(core.GrayPolicy{Ratio: 2, Baseline: ms})
 	s := ex.Session() // pinned to shard 0
 	defer s.Finish()
 
-	// Two samples reach MinSamples; both over 2x baseline, so the second is
-	// judged: suspect, score 1. The third brings the score to DrainScore.
-	for i := 0; i < 3; i++ {
+	// Every sample is over 2x baseline, but none is judged before the
+	// shard has GrayMinSamples of them.
+	for i := 0; i < core.GrayMinSamples-1; i++ {
+		if err := s.Do(advanceJob(10*ms, nil)); err != nil {
+			t.Fatalf("slow job %d: %v", i, err)
+		}
+	}
+	if kinds := grayEventKinds(ex, "suspect", "gray-drain"); len(kinds) != 0 {
+		t.Fatalf("events below GrayMinSamples = %v, want none", kinds)
+	}
+	// The next sample is judged: suspect, score 1. Each further one adds
+	// 1, so GrayDrainScore judged samples reach the drain.
+	for i := 0; i < int(core.GrayDrainScore); i++ {
 		if err := s.Do(advanceJob(10*ms, nil)); err != nil {
 			t.Fatalf("slow job %d: %v", i, err)
 		}
@@ -97,21 +106,25 @@ func TestGraySuspicionDrain(t *testing.T) {
 }
 
 // TestGrayHysteresis pins the no-flap property: a shard that turns suspect
-// and then recovers walks its suspicion back through Decay and emits one
-// "suspect-clear" — it is never drained, and a second healthy stretch adds
-// no further transitions.
+// and then recovers walks its suspicion back through the decay and emits
+// one "suspect-clear" — it is never drained, and a second healthy stretch
+// adds no further transitions.
 func TestGrayHysteresis(t *testing.T) {
 	ex := newExecutor(t, 2, core.Default())
-	ex.SetGray(core.GrayPolicy{
-		Ratio: 2, Baseline: ms, MinSamples: 1, Rise: 1, Decay: 1, DrainScore: 10,
-	})
+	ex.SetGray(core.GrayPolicy{Ratio: 2, Baseline: ms})
 	s := ex.Session()
 	defer s.Finish()
 
-	for i := 0; i < 2; i++ {
-		if err := s.Do(advanceJob(10*ms, nil)); err != nil {
+	// Healthy completions up to GrayMinSamples, then one slow one: the
+	// EWMA jumps over 2x baseline and the shard turns suspect. The next
+	// healthy sample still reads over (score 2, below GrayDrainScore).
+	for i := 0; i < core.GrayMinSamples-1; i++ {
+		if err := s.Do(advanceJob(ms/10, nil)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := s.Do(advanceJob(10*ms, nil)); err != nil {
+		t.Fatal(err)
 	}
 	// Recovery: healthy completions pull the EWMA under the threshold and
 	// decay the score to zero, clearing the flag exactly once.
@@ -272,13 +285,14 @@ func TestHedgeClosedLoopExempt(t *testing.T) {
 // zero DegradePlan in every chaos plan — must be bit-identical to one that
 // never heard of the gray layer, on a workload with real fault injection:
 // same latencies, same queue waits, same critical path, same failover
-// events, same metrics, and byte-equal per-shard injection logs.
+// events, same metrics, and byte-equal per-shard injection logs. A policy
+// with a Ratio but no Baseline scores nothing, so it is inert too.
 func TestGrayZeroCost(t *testing.T) {
 	reg := all.Registry()
 	cat := analysis.New(reg, nil).Categorize()
 	reqs := apps.GenDetectionRequests(7, 32)
 
-	run := func(installGray bool) (*core.Executor, []apps.DetectionResult) {
+	run := func(installGray bool, pol core.GrayPolicy) (*core.Executor, []apps.DetectionResult) {
 		planOf := func(id, gen int) chaos.Plan {
 			p := chaos.Scaled(41, 0.02).ForShard(id)
 			if installGray {
@@ -295,21 +309,30 @@ func TestGrayZeroCost(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(ex.Close)
-		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1, DrainOnDegrade: true})
+		ex.SetHealthPolicy(core.HealthPolicy{FailThreshold: 1})
 		srv, err := apps.ProvisionDetection(ex)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if installGray {
-			ex.SetGray(core.GrayPolicy{})
+			ex.SetGray(pol)
 			ex.SetHedge(core.HedgePolicy{})
 		}
 		return ex, srv.ServeSeq(reqs)
 	}
 
-	plain, plainRes := run(false)
-	gray, grayRes := run(true)
+	plain, plainRes := run(false, core.GrayPolicy{})
+	for _, pol := range []core.GrayPolicy{{}, {Ratio: 3}} {
+		gray, grayRes := run(true, pol)
+		requireSameServing(t, plain, gray, plainRes, grayRes)
+	}
+}
 
+// requireSameServing fails unless two detection runs are bit-identical:
+// results, latencies, queue waits, critical path, failover events,
+// metrics, and per-shard injection logs.
+func requireSameServing(t *testing.T, plain, gray *core.Executor, plainRes, grayRes []apps.DetectionResult) {
+	t.Helper()
 	for i := range plainRes {
 		if (plainRes[i].Err == nil) != (grayRes[i].Err == nil) || plainRes[i].Objects != grayRes[i].Objects {
 			t.Fatalf("request %d diverged: %+v vs %+v", i, plainRes[i], grayRes[i])

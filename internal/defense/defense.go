@@ -240,10 +240,9 @@ func (c *Controller) sensor(shard int, rt *core.Runtime, inner framework.Exploit
 }
 
 // anomaly adapts the core DoS resource watchdog into a sighting: a
-// domain- or host-tier invocation that killed the host (or blew its
-// virtual-time budget) is a DoS-class signal even when no exploit
-// handler ever fired — the channel that catches the imshow DoS the
-// domain tier cannot contain.
+// domain- or host-tier invocation that killed the host is a DoS-class
+// signal even when no exploit handler ever fired — the channel that
+// catches the imshow DoS the domain tier cannot contain.
 func (c *Controller) anomaly(shard int, rt *core.Runtime) func(t framework.APIType, api, kind, detail string) {
 	return func(t framework.APIType, api, kind, detail string) {
 		session := rt.SessionScope()

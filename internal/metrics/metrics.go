@@ -103,9 +103,9 @@ type Snapshot struct {
 	DomainGrantBytes uint64
 
 	// WatchdogTrips counts DoS resource-watchdog reports: domain- or
-	// host-tier invocations that killed the host process or overran their
-	// virtual-time budget. Detection, not containment — the invocation
-	// already ran; the defense controller reacts to the report.
+	// host-tier invocations that killed the host process. Detection, not
+	// containment — the invocation already ran; the defense controller
+	// reacts to the report.
 	WatchdogTrips uint64
 	// Rebinds counts shards drained and respawned purely to move them onto
 	// a changed isolation policy (defense escalation or annealing) — a

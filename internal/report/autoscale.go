@@ -102,14 +102,12 @@ func MeasureAutoscale(min, max, base, burst, steps int) ([]AutoscaleResult, erro
 			ex.Shard(i).K.Clock.Reset()
 		}
 		var ctl *sched.Controller
-		var ticker apps.Ticker
-		var batcher apps.AdmissionBatcher
+		var opt apps.RampOptions
 		if rn.control {
 			ctl = sched.New(ex, sched.DefaultPolicy(rn.min, rn.max), rn.placer)
-			ticker = ctl
-			batcher = ctl.Batch()
+			opt = apps.RampOptions{Ticker: ctl, Batcher: ctl.Batch()}
 		}
-		results := srv.ServeRamp(streams, ticker, batcher)
+		results := srv.ServeRamp(streams, opt)
 		crit := ex.CriticalPath()
 		m := ex.Metrics().Snapshot()
 		row := AutoscaleResult{

@@ -34,12 +34,11 @@ func serveRampFixed(t *testing.T, streams []apps.TrackStream, inertController bo
 	}
 	t.Cleanup(ex.Close)
 	srv := apps.ProvisionTracking(ex)
-	var ticker apps.Ticker
+	var opt apps.RampOptions
 	if inertController {
-		ctl := sched.New(ex, sched.Policy{MinShards: 3, MaxShards: 3}, sched.RoundRobin{})
-		ticker = ctl
+		opt.Ticker = sched.New(ex, sched.Policy{MinShards: 3, MaxShards: 3}, sched.RoundRobin{})
 	}
-	results := srv.ServeRamp(streams, ticker, nil)
+	results := srv.ServeRamp(streams, opt)
 	lat := ex.Latencies()
 	return rampFingerprint{
 		results: results,

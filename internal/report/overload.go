@@ -126,7 +126,7 @@ func MeasureOverload(shards, heavy, light, steps int, factors []int) ([]Overload
 				// split converges on fair share at any factor.
 				opt.Orderer = &sched.WFQ{Quantum: 5 * stepCost / 4}
 			}
-			results := srv.ServeRampOpts(streams, opt)
+			results := srv.ServeRamp(streams, opt)
 			m := ex.Metrics().Snapshot()
 
 			row := OverloadResult{

@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"reflect"
 	"testing"
 
 	"freepart.dev/freepart/internal/core"
@@ -91,5 +92,61 @@ func TestPartitionAwareInstallsKeyedHook(t *testing.T) {
 	}
 	if key, keyed := ex.SessionKey(s.ID); !keyed || key != 77 {
 		t.Fatalf("SessionKey = (%d,%v), want (77,true)", key, keyed)
+	}
+}
+
+// keyDecliner is a LeastLoaded placer that declines every key, so keyed
+// opens must fall through to its plain Place.
+type keyDecliner struct{ sched.LeastLoaded }
+
+func (keyDecliner) PlaceKeyed(int, uint64, []core.PlacementInfo) int { return -1 }
+
+// TestKeyedPlacementFallback pins the keyed → plain → round-robin chain:
+// under a controller whose keyed placer declines every key, SessionKeyed
+// opens land exactly where LeastLoaded places SessionFor opens; under a
+// wholly declining PartitionAware{} and with no controller at all,
+// SessionKeyed goes round-robin like SessionFor. Every run finishes one
+// early session so least-loaded and round-robin disagree.
+func TestKeyedPlacementFallback(t *testing.T) {
+	place := func(attach func(*core.Executor), keyed bool) []int {
+		ex, err := core.NewExecutor(3, core.DirectShards(all.Registry()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ex.Close)
+		if attach != nil {
+			attach(ex)
+		}
+		var got []int
+		for i := 0; i < 7; i++ {
+			var s *core.Session
+			if keyed {
+				s = ex.SessionKeyed(0, 1, uint64(100+i))
+			} else {
+				s = ex.SessionFor(0, 1)
+			}
+			got = append(got, s.Shard().ID)
+			if i == 1 {
+				s.Finish()
+			}
+		}
+		return got
+	}
+	ctl := func(p sched.Placer) func(*core.Executor) {
+		return func(ex *core.Executor) { sched.New(ex, inertPolicy(3), p) }
+	}
+	least := place(ctl(sched.LeastLoaded{}), false)
+	if rr := place(nil, false); reflect.DeepEqual(least, rr) {
+		t.Fatalf("workload does not separate least-loaded from round-robin: %v", rr)
+	}
+	if got := place(ctl(keyDecliner{}), true); !reflect.DeepEqual(got, least) {
+		t.Fatalf("declined keyed opens placed %v, want LeastLoaded's %v", got, least)
+	}
+	rr := place(nil, false)
+	if got := place(ctl(sched.PartitionAware{}), true); !reflect.DeepEqual(got, rr) {
+		t.Fatalf("zero PartitionAware keyed opens placed %v, want round-robin %v", got, rr)
+	}
+	if got := place(nil, true); !reflect.DeepEqual(got, rr) {
+		t.Fatalf("keyed opens with no controller placed %v, want round-robin %v", got, rr)
 	}
 }

@@ -28,7 +28,16 @@ import (
 )
 
 // Policy configures the reconcile loop. The zero value disables every
-// action; DefaultPolicy returns the calibrated serving policy.
+// threshold action; DefaultPolicy returns the calibrated serving policy.
+//
+// Two overload signals need no configuration. Window rejections grow the
+// pool even when the wait signals are calm — capacity beats shedding
+// whenever a slot remains below MaxShards; at MaxShards the controller
+// records the saturation and lets the admission bound keep shedding. And
+// when the slowest tenant's window mean wait reaches tenantSkewRatio times
+// the fastest's (two or more tenants sampled), the skew counts as a grow
+// signal. Runs with no admission policy never reject, and single-tenant
+// runs never skew, so neither signal fires there.
 type Policy struct {
 	// MinShards and MaxShards bound the pool. Shrink never goes below Min,
 	// grow never above Max.
@@ -63,20 +72,6 @@ type Policy struct {
 	// MaxMovesPerTick caps rebalance migrations per reconcile (default 1
 	// when RebalanceRatio is set) so the controller converges gently.
 	MaxMovesPerTick int
-	// GrowOnReject makes window rejections a first-class grow signal: when
-	// the pool shed or rejected any arrivals since the last tick and slots
-	// remain below MaxShards, the pool grows even if the wait signals are
-	// calm — capacity beats shedding whenever capacity exists. At
-	// MaxShards the signal inverts: the controller records the saturation
-	// and lets the admission bound keep shedding, which is the designed
-	// behaviour past the provisioning ceiling. Off by default; legacy runs
-	// never reject, so the flag is inert without an admission policy.
-	GrowOnReject bool
-	// TenantSkewRatio watches per-tenant admission-wait fairness: when the
-	// slowest tenant's window mean wait exceeds this ratio times the
-	// fastest's (two or more tenants sampled), the skew counts as a grow
-	// signal and is recorded in the event log. 0 disables the signal.
-	TenantSkewRatio float64
 	// ReadyWindow is the readiness probe: a shard whose clock runs more
 	// than this ahead of the pool's serving frontier (the last reconcile's
 	// "now") is still booting and is excluded from placement and migration
@@ -146,6 +141,9 @@ type Controller struct {
 	log metrics.Log
 }
 
+// tenantSkewRatio is the per-tenant wait skew that counts as a grow signal.
+const tenantSkewRatio = 2
+
 // histPoint is one tick's (frontier, live sessions) observation.
 type histPoint struct {
 	at       vclock.Duration
@@ -154,7 +152,10 @@ type histPoint struct {
 
 // New builds a controller over ex and takes over session placement: opens
 // route through placer (LeastLoaded when nil), always restricted to shards
-// that pass the readiness filter. Executors with no controller attached
+// that pass the readiness filter. A keyed open goes to a KeyedPlacer's
+// PlaceKeyed first and falls back to Place when it declines (an
+// out-of-range slot); a Place that declines too leaves the executor's
+// round-robin in charge. Executors with no controller attached
 // keep the round-robin default and are untouched by any of this — the
 // zero-cost-when-off property the serving benchmarks pin down.
 func New(ex *core.Executor, pol Policy, placer Placer) *Controller {
@@ -166,14 +167,16 @@ func New(ex *core.Executor, pol Policy, placer Placer) *Controller {
 	if p == nil {
 		p = LeastLoaded{}
 	}
-	ex.SetPlacement(func(session int, pool []core.PlacementInfo) int {
-		return p.Place(session, c.readyPool(pool))
+	kp, _ := p.(KeyedPlacer)
+	ex.SetPlacement(func(session int, key uint64, keyed bool, pool []core.PlacementInfo) int {
+		ready := c.readyPool(pool)
+		if keyed && kp != nil {
+			if id := kp.PlaceKeyed(session, key, ready); id >= 0 && id < len(pool) {
+				return id
+			}
+		}
+		return p.Place(session, ready)
 	})
-	if kp, ok := p.(KeyedPlacer); ok {
-		ex.SetKeyedPlacement(func(session int, key uint64, pool []core.PlacementInfo) int {
-			return kp.PlaceKeyed(session, key, c.readyPool(pool))
-		})
-	}
 	return c
 }
 
@@ -317,7 +320,7 @@ func (c *Controller) Tick() {
 	// shedding — grow before shedding whenever a slot remains. Tenant wait
 	// skew means one tenant is absorbing the queueing; more capacity is the
 	// remedy that doesn't rob anyone.
-	rejWant := c.pol.GrowOnReject && rejects > 0
+	rejWant := rejects > 0
 	skew, skewWant := c.tenantSkew()
 	growWant = growWant || rejWant || skewWant
 	if t > 0 {
@@ -389,13 +392,8 @@ func (c *Controller) Tick() {
 
 // tenantSkew reads the per-tenant wait signal: the ratio of the slowest
 // tenant's window mean admission wait to the fastest's. Reports (skew,
-// fired). Inert — not even sampled — unless the policy sets
-// TenantSkewRatio, so single-tenant and legacy runs never touch the
-// tenant signal path.
+// fired).
 func (c *Controller) tenantSkew() (float64, bool) {
-	if c.pol.TenantSkewRatio <= 0 {
-		return 0, false
-	}
 	tens := c.ex.TenantLoads()
 	prev := c.prevTen
 	c.prevTen = make(map[int]core.TenantLoad, len(tens))
@@ -421,7 +419,7 @@ func (c *Controller) tenantSkew() (float64, bool) {
 		return 0, false
 	}
 	skew := float64(maxMean) / float64(minMean)
-	return skew, skew >= c.pol.TenantSkewRatio
+	return skew, skew >= tenantSkewRatio
 }
 
 // projected estimates the live session count one shard-boot from now, from

@@ -141,7 +141,7 @@ func TestLocalitySocketTieBreak(t *testing.T) {
 	}
 }
 
-// inertPolicy scales nothing: it pins the pool, disables every signal, and
+// inertPolicy scales nothing: it pins the pool, sets no threshold, and
 // keeps batching off.
 func inertPolicy(n int) sched.Policy {
 	return sched.Policy{MinShards: n, MaxShards: n}

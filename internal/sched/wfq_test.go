@@ -185,7 +185,7 @@ func overloadExecutor(t *testing.T, shards int) *core.Executor {
 // rejections in the window grow the pool even with wait signals calm.
 func TestControllerGrowsOnRejection(t *testing.T) {
 	ex := overloadExecutor(t, 2)
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3, GrowOnReject: true}, nil)
+	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3}, nil)
 	s := ex.Session()
 	if err := s.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestControllerGrowsOnRejection(t *testing.T) {
 // of growing.
 func TestControllerShedsAtMaxShards(t *testing.T) {
 	ex := overloadExecutor(t, 2)
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 2, GrowOnReject: true}, nil)
+	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 2}, nil)
 	s := ex.Session()
 	if err := s.DoAt(0, func(sh *core.Shard) error { sh.K.Clock.Advance(100); return nil }); err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ func TestControllerGrowsOnTenantSkew(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		ex.Shard(i).K.Clock.Reset()
 	}
-	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3, TenantSkewRatio: 2}, nil)
+	ctl := sched.New(ex, sched.Policy{MinShards: 2, MaxShards: 3}, nil)
 	s1 := ex.SessionFor(1, 1)
 	s2 := ex.SessionFor(2, 1)
 
