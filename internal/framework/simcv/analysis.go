@@ -232,11 +232,18 @@ func registerAnalysis(r *framework.Registry) {
 			if a.Len() != b.Len() {
 				return nil, errorString("simcv: histogram length mismatch")
 			}
+			av, err := a.Values()
+			if err != nil {
+				return nil, err
+			}
+			bv, err := b.Values()
+			if err != nil {
+				return nil, err
+			}
 			// Chi-square distance.
 			d := 0.0
-			for i := 0; i < a.Len(); i++ {
-				x, _ := a.AtFlat(i)
-				y, _ := b.AtFlat(i)
+			for i, x := range av {
+				y := bv[i]
 				if x+y > 0 {
 					d += (x - y) * (x - y) / (x + y)
 				}

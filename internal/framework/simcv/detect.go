@@ -152,6 +152,9 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
+			// The histogram accumulates locally; each bin update is still one
+			// checked store, in pixel order.
+			hist := make([]float64, cellsR*cellsC*8)
 			for r := 1; r < rows-1; r++ {
 				for c := 1; c < cols-1; c++ {
 					gx := int(g[r*cols+c+1]) - int(g[r*cols+c-1])
@@ -160,8 +163,8 @@ func registerDetect(r *framework.Registry) {
 					ang := math.Atan2(float64(gy), float64(gx)) + math.Pi
 					bin := int(ang/(2*math.Pi)*8) % 8
 					cell := (r/8)*cellsC + c/8
-					old, _ := t.At(cell, bin)
-					if err := t.Set(old+mag, cell, bin); err != nil {
+					hist[cell*8+bin] += mag
+					if err := t.Set(hist[cell*8+bin], cell, bin); err != nil {
 						return nil, err
 					}
 				}
@@ -228,6 +231,14 @@ func registerDetect(r *framework.Registry) {
 			if len(sa) != 2 || len(sb) != 2 || sa[1] != sb[1] {
 				return nil, fmt.Errorf("simcv: match wants NxD tensors, got %v vs %v", sa, sb)
 			}
+			av, err := a.Values()
+			if err != nil {
+				return nil, err
+			}
+			bv, err := b.Values()
+			if err != nil {
+				return nil, err
+			}
 			ctx.Charge(a.Size()+b.Size(), 8)
 			ctx.EmitMemOp()
 			// Nearest neighbour per row of a.
@@ -235,13 +246,13 @@ func registerDetect(r *framework.Registry) {
 			if err != nil {
 				return nil, err
 			}
+			dim := sa[1]
 			for i := 0; i < sa[0]; i++ {
 				bestJ, bestD := 0, math.MaxFloat64
 				for j := 0; j < sb[0]; j++ {
 					d := 0.0
-					for k := 0; k < sa[1]; k++ {
-						x, _ := a.At(i, k)
-						y, _ := b.At(j, k)
+					for k := 0; k < dim; k++ {
+						x, y := av[i*dim+k], bv[j*dim+k]
 						d += (x - y) * (x - y)
 					}
 					if d < bestD {

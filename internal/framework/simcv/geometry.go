@@ -108,15 +108,13 @@ func registerGeometry(r *framework.Registry) {
 				if h.Len() < 6 {
 					return nil, fmt.Errorf("simcv: %s matrix needs >=6 entries", name)
 				}
+				hv, err := h.Values()
+				if err != nil {
+					return nil, err
+				}
 				hm := make([]float64, 9)
 				hm[8] = 1
-				for i := 0; i < h.Len() && i < 9; i++ {
-					v, err := h.AtFlat(i)
-					if err != nil {
-						return nil, err
-					}
-					hm[i] = v
-				}
+				copy(hm, hv)
 				rows, cols, ch := m.Rows(), m.Cols(), m.Channels()
 				ctx.Charge(len(data), 4)
 				ctx.EmitMemOp()
@@ -280,13 +278,16 @@ func registerGeometry(r *framework.Registry) {
 			if len(sh) != 3 || sh[0] != rows || sh[1] != cols || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: remap flow shape %v for %dx%d image", sh, rows, cols)
 			}
+			fv, err := flow.Values()
+			if err != nil {
+				return nil, err
+			}
 			ctx.Charge(len(data), 4)
 			ctx.EmitMemOp()
 			out := make([]byte, len(data))
 			for rr := 0; rr < rows; rr++ {
 				for cc := 0; cc < cols; cc++ {
-					fx, _ := flow.At(rr, cc, 0)
-					fy, _ := flow.At(rr, cc, 1)
+					fx, fy := fv[(rr*cols+cc)*2], fv[(rr*cols+cc)*2+1]
 					sr, sc := rr+int(fy), cc+int(fx)
 					for z := 0; z < ch; z++ {
 						out[(rr*cols+cc)*ch+z] = pix(data, rows, cols, ch, sr, sc, z)

@@ -380,13 +380,9 @@ func registerIO(r *framework.Registry) {
 			if len(sh) != 3 || sh[2] != 2 {
 				return nil, fmt.Errorf("simcv: flow tensor must be rows x cols x 2, got %v", sh)
 			}
-			vals := make([]float64, t.Len())
-			for i := range vals {
-				v, err := t.AtFlat(i)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
+			vals, err := t.Values()
+			if err != nil {
+				return nil, err
 			}
 			enc, err := encodeFlow(sh[0], sh[1], vals)
 			if err != nil {

@@ -37,8 +37,8 @@ func (s *AddressSpace) SetKey(r Region, k Key) error {
 	first := r.Base.PageIndex()
 	last := (r.Base + Addr(r.Size) - 1).PageIndex()
 	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
+		pg := s.lookup(pi)
+		if pg == nil {
 			return fmt.Errorf("%w: key on unmapped page %#x", ErrBadRange, pi*PageSize)
 		}
 		pg.key = k
@@ -48,10 +48,10 @@ func (s *AddressSpace) SetKey(r Region, k Key) error {
 
 // KeyAt returns the protection key of the page containing addr.
 func (s *AddressSpace) KeyAt(addr Addr) (Key, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pg, ok := s.pages[addr.PageIndex()]
-	if !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pg := s.lookup(addr.PageIndex())
+	if pg == nil {
 		return 0, false
 	}
 	return pg.key, true
@@ -76,8 +76,8 @@ func (s *AddressSpace) SetKeyAccess(k Key, allowRead, allowWrite bool) error {
 
 // KeyAccess reports the PKRU entry for the key.
 func (s *AddressSpace) KeyAccess(k Key) (allowRead, allowWrite bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	a := s.pkru[k]
 	return !a.denyRead, !a.denyWrite
 }

@@ -22,7 +22,7 @@ var nextSpaceID atomic.Uint32
 
 // Stats are access counters for an address space.
 type Stats struct {
-	Loads       uint64 // Load/LoadAt calls
+	Loads       uint64 // Load/LoadAt/Exec calls
 	Stores      uint64 // Store/StoreAt calls
 	BytesLoaded uint64
 	BytesStored uint64
@@ -32,9 +32,10 @@ type Stats struct {
 }
 
 type page struct {
-	data []byte // lazily allocated, PageSize long
-	perm Perm
-	key  Key // protection key (0 = default domain)
+	data   []byte // lazily allocated, PageSize long
+	perm   Perm
+	key    Key // protection key (0 = default domain)
+	mapped bool
 }
 
 // AccessHook observes every checked access before the permission tables are
@@ -52,9 +53,6 @@ type Region struct {
 // End returns the first address past the region.
 func (r Region) End() Addr { return r.Base + Addr(r.Size) }
 
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr Addr) bool { return addr >= r.Base && addr < r.End() }
-
 // Overlaps reports whether the two regions share any address.
 func (r Region) Overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.End() }
 
@@ -64,15 +62,17 @@ func (r Region) Overlaps(o Region) bool { return r.Base < o.End() && o.Base < r.
 type AddressSpace struct {
 	id SpaceID
 
-	mu      sync.RWMutex
-	pages   map[uint64]*page
-	brk     Addr // bump-allocation cursor
-	limit   Addr // allocation ceiling
-	regions []Region
-	freed   []Region // page-aligned spans returned by Free, reused first
-	stats   Stats
-	pkru    [MaxKey + 1]keyAccess
-	hook    AccessHook
+	mu sync.Mutex
+	// pages is the page table, indexed by page number and covering every
+	// page below brk; entries of unmapped pages have mapped unset.
+	pages  []page
+	mapped uint64   // number of mapped pages
+	brk    Addr     // bump-allocation cursor
+	limit  Addr     // allocation ceiling
+	freed  []Region // page-aligned spans returned by Free, reused first
+	stats  Stats
+	pkru   [MaxKey + 1]keyAccess
+	hook   AccessHook
 }
 
 // DefaultLimit is the default per-space allocation ceiling (1 GiB of
@@ -87,7 +87,7 @@ const baseAddr = Addr(PageSize)
 func NewSpace() *AddressSpace {
 	return &AddressSpace{
 		id:    SpaceID(nextSpaceID.Add(1)),
-		pages: make(map[uint64]*page),
+		pages: make([]page, baseAddr.PageIndex()),
 		brk:   baseAddr,
 		limit: DefaultLimit,
 	}
@@ -106,11 +106,19 @@ func (s *AddressSpace) SetLimit(limit Addr) {
 
 // Stats returns a snapshot of the access counters.
 func (s *AddressSpace) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := s.stats
-	st.PagesMapped = uint64(len(s.pages))
+	st.PagesMapped = s.mapped
 	return st
+}
+
+// lookup returns the mapped page with the given number, or nil, under mu.
+func (s *AddressSpace) lookup(pi uint64) *page {
+	if pi >= uint64(len(s.pages)) || !s.pages[pi].mapped {
+		return nil
+	}
+	return &s.pages[pi]
 }
 
 // roundUp rounds n up to the next multiple of PageSize.
@@ -136,13 +144,13 @@ func (s *AddressSpace) Alloc(size int) (Region, error) {
 		}
 		base = s.brk
 		s.brk += span
+		s.pages = append(s.pages, make([]page, span/PageSize)...)
 	}
 	for pi := base.PageIndex(); pi < (base + span).PageIndex(); pi++ {
-		s.pages[pi] = &page{perm: PermRW}
+		s.pages[pi] = page{perm: PermRW, mapped: true}
+		s.mapped++
 	}
-	r := Region{Base: base, Size: size}
-	s.regions = append(s.regions, r)
-	return r, nil
+	return Region{Base: base, Size: size}, nil
 }
 
 // takeFreed carves a span from the free list (first fit), under mu.
@@ -164,6 +172,8 @@ func (s *AddressSpace) takeFreed(span Addr) (Addr, bool) {
 }
 
 // Free unmaps the region's pages. Accessing a freed region faults.
+// Regions reaching past the allocation break were never allocated and are
+// rejected.
 func (s *AddressSpace) Free(r Region) error {
 	if r.Size <= 0 {
 		return fmt.Errorf("%w: free size %d", ErrBadRange, r.Size)
@@ -171,38 +181,17 @@ func (s *AddressSpace) Free(r Region) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	span := Addr(roundUp(r.Size))
-	for pi := r.Base.PageIndex(); pi < (r.Base + span).PageIndex(); pi++ {
-		delete(s.pages, pi)
+	if r.Base+span > s.brk || r.Base+span < r.Base {
+		return fmt.Errorf("%w: free of unallocated range %#x+%d", ErrBadRange, uint64(r.Base), r.Size)
 	}
-	for i, reg := range s.regions {
-		if reg.Base == r.Base {
-			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			break
+	for pi := r.Base.PageIndex(); pi < (r.Base + span).PageIndex(); pi++ {
+		if s.pages[pi].mapped {
+			s.mapped--
 		}
+		s.pages[pi] = page{}
 	}
 	s.freed = append(s.freed, Region{Base: r.Base, Size: int(span)})
 	return nil
-}
-
-// Regions returns the currently allocated regions in allocation order.
-func (s *AddressSpace) Regions() []Region {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Region, len(s.regions))
-	copy(out, s.regions)
-	return out
-}
-
-// RegionOf returns the allocated region containing addr, if any.
-func (s *AddressSpace) RegionOf(addr Addr) (Region, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, r := range s.regions {
-		if r.Contains(addr) {
-			return r, true
-		}
-	}
-	return Region{}, false
 }
 
 // Protect changes the permission of every page overlapping [addr, addr+size)
@@ -217,8 +206,8 @@ func (s *AddressSpace) Protect(addr Addr, size int, perm Perm) (int, error) {
 	last := (addr + Addr(size) - 1).PageIndex()
 	n := 0
 	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
+		pg := s.lookup(pi)
+		if pg == nil {
 			return n, fmt.Errorf("%w: protect of unmapped page %#x", ErrBadRange, pi*PageSize)
 		}
 		pg.perm = perm
@@ -235,10 +224,10 @@ func (s *AddressSpace) ProtectRegion(r Region, perm Perm) (int, error) {
 
 // PermAt returns the permission of the page containing addr.
 func (s *AddressSpace) PermAt(addr Addr) (Perm, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	pg, ok := s.pages[addr.PageIndex()]
-	if !ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pg := s.lookup(addr.PageIndex())
+	if pg == nil {
 		return PermNone, false
 	}
 	return pg.perm, true
@@ -262,11 +251,12 @@ func (s *AddressSpace) check(addr Addr, n int, kind AccessKind) error {
 			return err
 		}
 	}
-	first := addr.PageIndex()
+	// The range may wrap past the top of the address space; its first page
+	// is then unmapped, so the walk faults before it could wrap.
 	last := (addr + Addr(n) - 1).PageIndex()
-	for pi := first; pi <= last; pi++ {
-		pg, ok := s.pages[pi]
-		if !ok {
+	for pi := addr.PageIndex(); ; pi++ {
+		pg := s.lookup(pi)
+		if pg == nil {
 			s.stats.Faults++
 			return &Fault{Space: s.id, Addr: Addr(pi * PageSize), Kind: kind, Mapped: false}
 		}
@@ -286,16 +276,10 @@ func (s *AddressSpace) check(addr Addr, n int, kind AccessKind) error {
 			s.stats.Faults++
 			return &Fault{Space: s.id, Addr: Addr(pi * PageSize), Kind: kind, Perm: pg.perm, Mapped: true}
 		}
+		if pi == last {
+			return nil
+		}
 	}
-	return nil
-}
-
-// pageData returns the backing bytes for a page, allocating lazily.
-func (pg *page) bytes() []byte {
-	if pg.data == nil {
-		pg.data = make([]byte, PageSize)
-	}
-	return pg.data
 }
 
 // Load copies n bytes starting at addr into a new slice, checking read
@@ -315,17 +299,27 @@ func (s *AddressSpace) LoadAt(addr Addr, buf []byte) error {
 	if err := s.check(addr, len(buf), AccessRead); err != nil {
 		return err
 	}
+	s.copyOut(addr, buf)
+	return nil
+}
+
+// copyOut fills buf from the checked range starting at addr and counts the
+// load, under mu.
+func (s *AddressSpace) copyOut(addr Addr, buf []byte) {
 	s.stats.Loads++
 	s.stats.BytesLoaded += uint64(len(buf))
-	off := 0
-	for off < len(buf) {
+	for off := 0; off < len(buf); {
 		a := addr + Addr(off)
-		pg := s.pages[a.PageIndex()]
-		po := int(uint64(a) % PageSize)
-		n := copy(buf[off:], pg.bytes()[po:])
-		off += n
+		off += copy(buf[off:], s.pages[a.PageIndex()].bytes()[uint64(a)%PageSize:])
 	}
-	return nil
+}
+
+// bytes returns the backing bytes for a page, allocating lazily.
+func (pg *page) bytes() []byte {
+	if pg.data == nil {
+		pg.data = make([]byte, PageSize)
+	}
+	return pg.data
 }
 
 // Store writes buf to memory starting at addr, checking write permission.
@@ -337,13 +331,9 @@ func (s *AddressSpace) Store(addr Addr, buf []byte) error {
 	}
 	s.stats.Stores++
 	s.stats.BytesStored += uint64(len(buf))
-	off := 0
-	for off < len(buf) {
+	for off := 0; off < len(buf); {
 		a := addr + Addr(off)
-		pg := s.pages[a.PageIndex()]
-		po := int(uint64(a) % PageSize)
-		n := copy(pg.bytes()[po:], buf[off:])
-		off += n
+		off += copy(s.pages[a.PageIndex()].bytes()[uint64(a)%PageSize:], buf[off:])
 	}
 	return nil
 }
@@ -363,15 +353,17 @@ func (s *AddressSpace) StoreByte(addr Addr, v byte) error {
 }
 
 // Exec simulates an instruction fetch of n bytes at addr; it checks exec
-// permission and returns the bytes (payload code in attack scenarios).
+// permission alone (an execute-only page can be fetched from) and returns
+// the bytes (payload code in attack scenarios). The fetch counts as a load.
 func (s *AddressSpace) Exec(addr Addr, n int) ([]byte, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.check(addr, n, AccessExec); err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	s.mu.Unlock()
-	return s.Load(addr, n)
+	buf := make([]byte, n)
+	s.copyOut(addr, buf)
+	return buf, nil
 }
 
 // Copy transfers n bytes from (src, srcAddr) to (dst, dstAddr), enforcing

@@ -182,6 +182,44 @@ func TestExecPermission(t *testing.T) {
 	}
 }
 
+func TestExecOnlyPage(t *testing.T) {
+	// An execute-only page can be fetched from but not read.
+	s := NewSpace()
+	r, _ := s.Alloc(PageSize)
+	code := []byte{0x90, 0x90, 0xc3}
+	if err := s.Store(r.Base, code); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ProtectRegion(r, PermExec); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Exec(r.Base, len(code))
+	if err != nil {
+		t.Fatalf("exec of --x page: %v", err)
+	}
+	if !bytes.Equal(got, code) {
+		t.Fatalf("exec fetched %x, want %x", got, code)
+	}
+	_, err = s.Load(r.Base, 1)
+	if f, ok := IsFault(err); !ok || f.Kind != AccessRead || f.Perm != PermExec {
+		t.Fatalf("read of --x page: %v, want read fault", err)
+	}
+	if st := s.Stats(); st.Loads != 1 || st.BytesLoaded != uint64(len(code)) || st.Faults != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+func TestFreeUnallocatedRangeFails(t *testing.T) {
+	s := NewSpace()
+	r, _ := s.Alloc(PageSize)
+	if err := s.Free(Region{Base: r.End() + PageSize, Size: PageSize}); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("free past the break: %v, want ErrBadRange", err)
+	}
+	if err := s.Free(Region{Base: ^Addr(0) - 10, Size: 100}); !errors.Is(err, ErrBadRange) {
+		t.Fatalf("free of a wrapping range: %v, want ErrBadRange", err)
+	}
+}
+
 func TestFreeUnmaps(t *testing.T) {
 	s := NewSpace()
 	r, _ := s.Alloc(PageSize)
@@ -191,20 +229,8 @@ func TestFreeUnmaps(t *testing.T) {
 	if _, err := s.Load(r.Base, 1); err == nil {
 		t.Fatal("read of freed region should fault")
 	}
-	if got := len(s.Regions()); got != 0 {
-		t.Fatalf("regions after free = %d, want 0", got)
-	}
-}
-
-func TestRegionOf(t *testing.T) {
-	s := NewSpace()
-	r, _ := s.Alloc(100)
-	got, ok := s.RegionOf(r.Base + 50)
-	if !ok || got.Base != r.Base {
-		t.Fatalf("RegionOf = %+v, %v", got, ok)
-	}
-	if _, ok := s.RegionOf(r.End() + PageSize); ok {
-		t.Fatal("RegionOf outside any region should report false")
+	if got := s.Stats().PagesMapped; got != 0 {
+		t.Fatalf("pages mapped after free = %d, want 0", got)
 	}
 }
 

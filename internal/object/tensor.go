@@ -129,11 +129,11 @@ func (t *Tensor) AtFlat(i int) (float64, error) {
 	if i < 0 || i >= t.Len() {
 		return 0, fmt.Errorf("object: flat index %d out of %d", i, t.Len())
 	}
-	b, err := t.space.Load(t.region.Base+mem.Addr(i*8), 8)
-	if err != nil {
+	var b [8]byte
+	if err := t.space.LoadAt(t.region.Base+mem.Addr(i*8), b[:]); err != nil {
 		return 0, err
 	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
+	return math.Float64frombits(binary.BigEndian.Uint64(b[:])), nil
 }
 
 // Set writes an element through the MMU.
